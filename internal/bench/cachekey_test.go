@@ -3,7 +3,6 @@ package bench
 import (
 	"testing"
 
-	"repro/internal/geopart"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
 )
@@ -11,8 +10,8 @@ import (
 // TestCacheKeySeparatesEnvironments is the regression test for the
 // singleflight cache handing back a stale Run after a process-global
 // knob changed: the key must fingerprint the worker-pool size, the
-// batching and parallel-build toggles, the fault plan, and the tracing
-// flag — not just (graph, method, p).
+// replay scheduler, the collective engine, buffer pooling, the fault
+// plan, and the tracing flag — not just (graph, method, p).
 func TestCacheKeySeparatesEnvironments(t *testing.T) {
 	h := New(0.03, []int{8})
 	base := h.Get("ecology1", MethodSP, 8)
@@ -30,15 +29,37 @@ func TestCacheKeySeparatesEnvironments(t *testing.T) {
 		}
 	})
 
-	t.Run("geopart batching", func(t *testing.T) {
-		defer geopart.SetBatching(geopart.SetBatching(!geopart.Batching()))
-		r := h.Get("ecology1", MethodSP, 8)
-		if r == base {
-			t.Fatal("cache ignored the candidate-batching toggle")
-		}
-		if r.Cut != base.Cut || r.Time != base.Time {
-			t.Fatalf("batching changed modeled results: %v/%v vs %v/%v",
-				r.Cut, r.Time, base.Cut, base.Time)
+	// Host-performance knobs no other test here flips: each must move
+	// the cache slot and leave every modeled field identical.
+	t.Run("host-performance knobs", func(t *testing.T) {
+		for _, knob := range []struct {
+			name string
+			set  func() (restore func())
+		}{
+			{"replay scheduler", func() func() {
+				prev := mpi.SetReplayMode(mpi.ReplayBatched)
+				return func() { mpi.SetReplayMode(prev) }
+			}},
+			{"collective engine", func() func() {
+				prev := mpi.SetCollectiveEngine(mpi.CollectivesLegacy)
+				return func() { mpi.SetCollectiveEngine(prev) }
+			}},
+			{"pooling", func() func() {
+				prev := mpi.SetPooling(false)
+				return func() { mpi.SetPooling(prev) }
+			}},
+		} {
+			restore := knob.set()
+			r := h.Get("ecology1", MethodSP, 8)
+			restore()
+			if r == base {
+				t.Fatalf("cache ignored the %s", knob.name)
+			}
+			if r.Cut != base.Cut || r.Time != base.Time ||
+				r.CommTime != base.CommTime || r.Messages != base.Messages ||
+				r.BytesSent != base.BytesSent {
+				t.Fatalf("%s changed modeled results:\n  got:  %+v\n  base: %+v", knob.name, r, base)
+			}
 		}
 	})
 

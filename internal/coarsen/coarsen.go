@@ -72,18 +72,19 @@ func Contract(g *graph.Graph, match []int32) (*graph.Graph, []int32) {
 
 // contractBlocked is Contract specialised to contiguous block ownership
 // given by offsets (offsets[r] is the first vertex of block r). It runs
-// in O(n + m). Large graphs route to the fork-join contraction kernel
-// (see parallel.go) unless SetParallel disabled it; the two paths are
-// bit-identical.
+// in O(n + m). Graphs of at least contractParMinVerts vertices run the
+// fork-join contraction kernel (see parallel.go), smaller ones the
+// serial kernel; the two produce bit-identical outputs.
 func contractBlocked(g *graph.Graph, match []int32, offsets []int32) (*graph.Graph, []int32, []int32) {
-	if parallelOn.Load() && g.NumVertices() >= contractParMinVerts {
+	if g.NumVertices() >= contractParMinVerts {
 		return contractBlockedParallel(g, match, offsets)
 	}
 	return contractBlockedSerial(g, match, offsets)
 }
 
-// contractBlockedSerial is the legacy single-threaded contraction, kept
-// verbatim as the reference the parallel kernel is tested against.
+// contractBlockedSerial is the single-threaded contraction: the
+// small-graph path, and the reference the parallel kernel is tested
+// against.
 func contractBlockedSerial(g *graph.Graph, match []int32, offsets []int32) (*graph.Graph, []int32, []int32) {
 	n := g.NumVertices()
 	blocks := len(offsets) - 1
@@ -345,16 +346,17 @@ func mergeOffsets(offsets []int32, nextRanks int) []int32 {
 }
 
 // invertMap builds the CSR grouping of fine vertices by coarse parent.
-// Large maps route to the chunked counting-sort kernel (parallel.go)
-// unless SetParallel disabled it; the two paths are bit-identical.
+// Maps of at least invertParMinVerts entries run the chunked
+// counting-sort kernel (parallel.go), smaller ones the serial cursor
+// scan; the two produce bit-identical outputs.
 func invertMap(toCoarse []int32, nCoarse int) (offsets, children []int32) {
-	if parallelOn.Load() && len(toCoarse) >= invertParMinVerts {
+	if len(toCoarse) >= invertParMinVerts {
 		return invertMapParallel(toCoarse, nCoarse)
 	}
 	return invertMapSerial(toCoarse, nCoarse)
 }
 
-// invertMapSerial is the legacy cursor-scan inversion, kept verbatim as
+// invertMapSerial is the cursor-scan inversion: the small-map path, and
 // the reference the parallel kernel is tested against.
 func invertMapSerial(toCoarse []int32, nCoarse int) (offsets, children []int32) {
 	offsets = make([]int32, nCoarse+1)

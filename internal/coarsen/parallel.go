@@ -3,7 +3,6 @@ package coarsen
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 	"repro/internal/hostpar"
@@ -29,27 +28,13 @@ import (
 //     cross-group arc or merged edge has weight != 1", an OR over rows.
 //
 // Every output element is written by exactly one statically assigned
-// chunk, so results are bit-identical for every worker count;
-// TestHierarchyBitIdentical pins this against the serial path.
+// chunk, so results are bit-identical for every worker count. The
+// serial contraction stays the small-graph path below the size gates;
+// the package tests check both kernels agree above them.
 
-// parallelOn gates the fork-join kernels; disabled, coarsening runs the
-// original serial code.
-var parallelOn atomic.Bool
-
-func init() { parallelOn.Store(true) }
-
-// SetParallel enables or disables the fork-join coarsening kernels and
-// returns the previous setting. Test hook à la geopart.SetBatching:
-// host parallelism must never change results, and the determinism tests
-// prove it by flipping this switch.
-func SetParallel(on bool) bool {
-	prev := parallelOn.Load()
-	parallelOn.Store(on)
-	return prev
-}
-
-// Size gates below which the serial paths win; vars so package tests
-// can force tiny graphs through the parallel kernels.
+// Size gates below which the serial kernels run: contraction and
+// inversion pick their kernel by input size alone. Vars so package
+// tests can force tiny graphs through the parallel kernels.
 var (
 	contractParMinVerts = 2048
 	invertParMinVerts   = 4096

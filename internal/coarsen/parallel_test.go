@@ -2,6 +2,7 @@ package coarsen
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -10,16 +11,22 @@ import (
 	"repro/internal/hostpar"
 )
 
+// setGates sets every size gate (contraction, inversion, and the graph
+// builder's) to n and returns a func that restores the previous gates.
+func setGates(n int) (restore func()) {
+	cm, im, bm := contractParMinVerts, invertParMinVerts, graph.SetParallelBuildMinEdges(n)
+	contractParMinVerts, invertParMinVerts = n, n
+	return func() {
+		contractParMinVerts, invertParMinVerts = cm, im
+		graph.SetParallelBuildMinEdges(bm)
+	}
+}
+
 // forceParallel lowers every size gate so even test-sized graphs route
 // through the fork-join kernels, and restores on cleanup.
 func forceParallel(t *testing.T) {
 	t.Helper()
-	cm, im, bm := contractParMinVerts, invertParMinVerts, graph.SetParallelBuildMinEdges(1)
-	contractParMinVerts, invertParMinVerts = 1, 1
-	t.Cleanup(func() {
-		contractParMinVerts, invertParMinVerts = cm, im
-		graph.SetParallelBuildMinEdges(bm)
-	})
+	t.Cleanup(setGates(1))
 }
 
 func levelsEqual(t *testing.T, tag string, a, b *Hierarchy) {
@@ -130,7 +137,8 @@ func TestInvertMapParallelMatchesSerial(t *testing.T) {
 // TestBuildHierarchyBitIdenticalAcrossWorkers is the package-local
 // hierarchy determinism check: every retained level's CSR arrays,
 // ownership offsets, and projection maps must agree bit-for-bit between
-// the legacy serial path and the fork-join path at workers 1, 2, and 8.
+// the serial kernels (every size gate raised out of reach) and the
+// fork-join kernels (every gate lowered to 1) at workers 1, 2, and 8.
 // The full-pipeline version (cuts, clocks, traffic) lives in
 // internal/core's TestHierarchyBitIdentical.
 func TestBuildHierarchyBitIdenticalAcrossWorkers(t *testing.T) {
@@ -143,11 +151,9 @@ func TestBuildHierarchyBitIdenticalAcrossWorkers(t *testing.T) {
 	for gi, g := range graphs {
 		for _, p := range []int{1, 4, 16, 64} {
 			opt := Options{Seed: 42, VertsPerRank: 96}
-			defer SetParallel(SetParallel(false))
-			defer graph.SetParallelBuild(graph.SetParallelBuild(false))
+			restore := setGates(math.MaxInt32)
 			want := BuildHierarchy(g, p, opt)
-			SetParallel(true)
-			graph.SetParallelBuild(true)
+			restore()
 			for _, w := range []int{1, 2, 8} {
 				defer hostpar.SetWorkers(hostpar.SetWorkers(w))
 				got := BuildHierarchy(g, p, opt)
@@ -209,10 +215,8 @@ func TestContractionSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state parallel contraction: %.1f mallocs per call", perCall)
 }
 
-// BenchmarkBuildHierarchy measures full hierarchy construction — the
-// dominant serial host cost before this PR — with the legacy serial
-// path and with the fork-join kernels, on a suite-scale grid and a
-// preferential-attachment graph.
+// BenchmarkBuildHierarchy measures full hierarchy construction on a
+// suite-scale grid and a preferential-attachment graph.
 func BenchmarkBuildHierarchy(b *testing.B) {
 	shapes := []struct {
 		name  string
@@ -223,22 +227,15 @@ func BenchmarkBuildHierarchy(b *testing.B) {
 	}
 	for _, sh := range shapes {
 		g := sh.build()
-		for _, mode := range []struct {
-			name string
-			on   bool
-		}{{"parallel", true}, {"serial", false}} {
-			b.Run(fmt.Sprintf("%s/%s", sh.name, mode.name), func(b *testing.B) {
-				defer SetParallel(SetParallel(mode.on))
-				defer graph.SetParallelBuild(graph.SetParallelBuild(mode.on))
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					h := BuildHierarchy(g, 64, Options{Seed: 42, VertsPerRank: 96})
-					if len(h.Levels) < 2 {
-						b.Fatal("degenerate hierarchy")
-					}
+		b.Run(sh.name, func(b *testing.B) {
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				h := BuildHierarchy(g, 64, Options{Seed: 42, VertsPerRank: 96})
+				if len(h.Levels) < 2 {
+					b.Fatal("degenerate hierarchy")
 				}
-			})
-		}
+			}
+		})
 	}
 }

@@ -18,8 +18,7 @@ import (
 // rearrangement of the same reads, never of the arithmetic — so any
 // visible difference means a decoder produced a different row or a
 // kernel charged a different modeled cost. (This is the same contract
-// TestHierarchyBitIdentical pins for the fork-join kernels and
-// TestBatchingBitIdentical for the geometric-candidate kernel.)
+// TestHierarchyBitIdentical pins for the fork-join kernels.)
 func TestCompressedPipelineBitIdentical(t *testing.T) {
 	// Large enough that the hierarchy crosses the parallel size gates on
 	// the finer levels, matching the hierarchy guard's regime.

@@ -1,8 +1,6 @@
 package embed
 
 import (
-	"sync/atomic"
-
 	"repro/internal/geometry"
 	"repro/internal/hostpar"
 )
@@ -24,25 +22,10 @@ import (
 // state, so the steady-state iteration submits pooled work without
 // allocating closures (the embed alloc guards stay at PR 2 levels).
 
-// parallelOn gates the hostpar kernels; disabled, the embedding runs
-// the original serial loops kept verbatim. The two paths are
-// bit-identical.
-var parallelOn atomic.Bool
-
-func init() { parallelOn.Store(true) }
-
-// SetParallel enables or disables the host-parallel embedding kernels
-// and returns the previous setting. Mirrors coarsen.SetParallel: a
-// host-performance knob that must never change modeled results.
-func SetParallel(on bool) bool {
-	prev := parallelOn.Load()
-	parallelOn.Store(on)
-	return prev
-}
-
-// Parallel reports whether the host-parallel embedding kernels are
-// enabled.
-func Parallel() bool { return parallelOn.Load() }
+// Parallel reports that the embedding runs the host-parallel kernels.
+// They are the only implementation; the function remains only because
+// the standing benchmark prints it.
+func Parallel() bool { return true }
 
 // Grain sizes: minimum iterations per chunk for each kernel, sized so
 // chunk bookkeeping stays negligible against the body.
@@ -153,8 +136,8 @@ func (s *levelState) inheritChunk(_, lo, hi int) {
 
 // forceChunk evaluates the full force on owned vertices [lo, hi),
 // writing the displacement and the per-vertex energy/magnitude terms.
-// Every float expression and every accumulation order within one vertex
-// matches the serial loop; the tree traversal is read-only.
+// Each vertex's terms accumulate in a fixed order inside one chunk, and
+// the tree traversal is read-only.
 func (s *levelState) forceChunk(_, lo, hi int) {
 	fp := s.fp
 	tree := &s.tree
@@ -255,11 +238,21 @@ func (s *levelState) applyF64Chunk(_, lo, hi int) {
 	}
 }
 
-// iterateHostpar is the host-parallel force iteration: identical to
-// iterateLegacy except that element-wise passes run chunked on the pool
-// and the three scalar sums are reduced serially from per-vertex terms
-// in the original index order.
-func (s *levelState) iterateHostpar() {
+// iterate runs one force iteration. Repulsion has three tiers:
+// within this rank's own box a Barnes–Hut quadtree over the owned
+// points gives sequential-quality near-field forces (at P=1 the scheme
+// therefore reduces to the sequential algorithm); remote boxes act
+// through their special-vertex aggregates, inherited once per local
+// sub-cell exactly as in Eq. (1)–(2) of the paper; and the sub-cells of
+// neighbouring boxes that touch a border cell are evaluated per vertex
+// to correct the border near field. Attraction is exact, with ghost
+// positions clamped to the 4-neighbourhood per the paper. The paper's
+// mass products are interpreted per unit mass so repulsion and
+// attraction stay commensurate.
+//
+// Element-wise passes run chunked on the hostpar pool; the three scalar
+// sums are reduced serially from per-vertex terms in index order.
+func (s *levelState) iterate() {
 	nc := len(s.myCells)
 	hostpar.ForChunked(len(s.rankAggs), 1, s.hp.fnAggs)
 	hostpar.ForChunked(nc, 2, s.hp.fnInherit)
@@ -278,8 +271,11 @@ func (s *levelState) iterateHostpar() {
 	s.energy = energy
 	s.aSum = aSum
 	s.rSum = rSum
-	// The modeled charge is unchanged: same serial accumulation, same
-	// float expressions, independent of the host worker count.
+	// Model: per owned vertex, ~theta-visit Barnes–Hut terms plus the
+	// degree attractive terms; per cell, the remote-aggregate loop. A
+	// charged unit is one force kernel evaluation (a handful of fused
+	// floating-point operations). The charge is a serial accumulation,
+	// independent of the host worker count.
 	ops := float64(nc * (s.lat.Grid.Size() + 8))
 	for i := range s.adj {
 		ops += float64(len(s.adj[i])) + 16
@@ -287,11 +283,12 @@ func (s *levelState) iterateHostpar() {
 	s.comm.Charge(ops)
 }
 
-// computeCellsHostpar classifies points in parallel, then accumulates
-// mass and centre sums serially in point order — the same float
-// accumulation order as the legacy loop, so aggregates (and everything
-// downstream: betas, forces, clocks) are bit-identical.
-func (s *levelState) computeCellsHostpar() {
+// computeCells refreshes this rank's sub-cell aggregates from the owned
+// points and installs them in the global cell array. Points are
+// classified in parallel; mass and centre sums accumulate serially in
+// point order, so aggregates (and everything downstream: betas, forces,
+// clocks) do not depend on the worker count.
+func (s *levelState) computeCells() {
 	for i := range s.myCells {
 		s.myCells[i] = beta{}
 	}
@@ -310,6 +307,8 @@ func (s *levelState) computeCellsHostpar() {
 		if s.myCells[c].Mu > 0 {
 			s.myCells[c].Phi = sums[c].Scale(1 / s.myCells[c].Mu)
 		} else {
+			// Empty cell: park its centre inside the box; zero mass
+			// keeps it out of force sums.
 			s.myCells[c].Phi = box.Center()
 		}
 	}
@@ -318,12 +317,6 @@ func (s *levelState) computeCellsHostpar() {
 
 // packGhostPayload fills dst[k] = pos[idxs[k]].
 func (s *levelState) packGhostPayload(dst []geometry.Vec2, idxs []int32) {
-	if !parallelOn.Load() {
-		for i, li := range idxs {
-			dst[i] = s.pos[li]
-		}
-		return
-	}
 	s.hp.packIdxs, s.hp.packVec2 = idxs, dst
 	hostpar.ForChunked(len(idxs), grainCopy, s.hp.fnPackVec2)
 	s.hp.packIdxs, s.hp.packVec2 = nil, nil
@@ -331,14 +324,6 @@ func (s *levelState) packGhostPayload(dst []geometry.Vec2, idxs []int32) {
 
 // packCoordPayload fills d[base+2k], d[base+2k+1] = pos[idxs[k]].
 func (s *levelState) packCoordPayload(d []float64, base int, idxs []int32) {
-	if !parallelOn.Load() {
-		off := base
-		for _, li := range idxs {
-			d[off], d[off+1] = s.pos[li].X, s.pos[li].Y
-			off += 2
-		}
-		return
-	}
 	s.hp.packIdxs, s.hp.packF64, s.hp.packBase = idxs, d, base
 	hostpar.ForChunked(len(idxs), grainCopy, s.hp.fnPackF64)
 	s.hp.packIdxs, s.hp.packF64 = nil, nil
@@ -347,12 +332,6 @@ func (s *levelState) packCoordPayload(d []float64, base int, idxs []int32) {
 // installGhosts sets ghost slots from a Vec2 payload (clamping each
 // coordinate to the 4-neighbourhood).
 func (s *levelState) installGhosts(slots []int32, payload []geometry.Vec2) {
-	if !parallelOn.Load() {
-		for i, slot := range slots {
-			s.setGhost(slot, payload[i])
-		}
-		return
-	}
 	s.hp.applyIdxs, s.hp.applyVec2 = slots, payload
 	hostpar.ForChunked(len(slots), grainGhost, s.hp.fnApplyVec2)
 	s.hp.applyIdxs, s.hp.applyVec2 = nil, nil
@@ -361,14 +340,6 @@ func (s *levelState) installGhosts(slots []int32, payload []geometry.Vec2) {
 // installGhostsFlat sets ghost slots from the flat neighbour payload
 // starting at base.
 func (s *levelState) installGhostsFlat(slots []int32, d []float64, base int) {
-	if !parallelOn.Load() {
-		off := base
-		for _, slot := range slots {
-			s.setGhost(slot, geometry.Vec2{X: d[off], Y: d[off+1]})
-			off += 2
-		}
-		return
-	}
 	s.hp.applyIdxs, s.hp.applyF64, s.hp.applyBase = slots, d, base
 	hostpar.ForChunked(len(slots), grainGhost, s.hp.fnApplyF64)
 	s.hp.applyIdxs, s.hp.applyF64 = nil, nil

@@ -3,10 +3,12 @@ package geopart
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/embed"
 	"repro/internal/gen"
+	"repro/internal/geometry"
 	"repro/internal/graph"
 	"repro/internal/mpi"
 )
@@ -99,43 +101,98 @@ func TestEdgeCacheResolvesEndpoints(t *testing.T) {
 	}
 }
 
-// TestBatchedKernelMatchesLegacy runs SP-PG7-NL and parallel RCB with
-// the batched kernel on and off and requires identical cuts, sides,
-// weights, and strip sizes. The full clock comparison across the P
-// sweep lives in core's TestBatchingBitIdentical; this is the
-// package-local fast check.
+// TestBatchedKernelMatchesLegacy runs evaluateBatched and
+// evaluateLegacy on the same candidate set, each in its own world, and
+// requires identical reduced (cut, w0, w1) triples, identical sides and
+// projection values for every candidate, and identical per-rank clock,
+// message, and byte totals after the call.
 func TestBatchedKernelMatchesLegacy(t *testing.T) {
 	g := gen.DelaunayRandom(4000, 5)
+	cfg := DefaultParallelConfig().withDefaults()
+	type rankOut struct {
+		global   []int64
+		sides    []bool
+		ownedVal []float64
+		ghostVal []float64
+		before   mpi.RankSnapshot
+		after    mpi.RankSnapshot
+	}
 	for _, p := range []int{1, 4, 16} {
-		run := func(batched bool) ([]int32, *ParallelResult, *ParallelResult) {
-			defer SetBatching(SetBatching(batched))
-			views := embed.SplitCoords(g.G, g.Coords, p)
-			part := make([]int32, g.G.NumVertices())
-			var sp, rcb *ParallelResult
+		views := embed.SplitCoords(g.G, g.Coords, p)
+		run := func(kernel func(*mpi.Comm, *graph.Graph, *embed.Distributed, *candSet, func(geometry.Vec2) geometry.Vec2) *evaluated) []rankOut {
+			out := make([]rankOut, p)
 			mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
-				res := ParallelPartition(c, g.G, views[c.Rank()], DefaultParallelConfig())
-				for i, id := range res.OwnedIDs {
-					part[id] = res.Side[i]
-				}
-				r2 := ParallelRCB(c, g.G, views[c.Rank()])
-				if c.Rank() == 0 {
-					sp, rcb = res, r2
+				d := views[c.Rank()]
+				cs, _, norm := prepareCandidates(c, d, cfg)
+				o := &out[c.Rank()]
+				o.before = c.Snapshot()
+				ev := kernel(c, g.G, d, &cs, norm)
+				o.after = c.Snapshot()
+				defer ev.release()
+				o.global = ev.global
+				val := make([]float64, len(d.OwnedIDs))
+				ghost := make([]float64, len(d.GhostIDs))
+				for k := range cs.dirs {
+					for i := range d.OwnedIDs {
+						o.sides = append(o.sides, ev.sideOf(k, i))
+					}
+					ev.fillValOwned(k, val)
+					o.ownedVal = append(o.ownedVal, val...)
+					ev.fillValGhost(k, ghost)
+					o.ghostVal = append(o.ghostVal, ghost...)
 				}
 			})
-			return part, sp, rcb
+			return out
 		}
-		bPart, bSP, bRCB := run(true)
-		lPart, lSP, lRCB := run(false)
-		if bSP.Cut != lSP.Cut || bSP.CutBefore != lSP.CutBefore || bSP.SideW != lSP.SideW || bSP.StripSize != lSP.StripSize {
-			t.Fatalf("P=%d SP results differ: batched %+v legacy %+v", p, bSP, lSP)
-		}
-		if bRCB.Cut != lRCB.Cut || bRCB.SideW != lRCB.SideW {
-			t.Fatalf("P=%d RCB results differ: batched %+v legacy %+v", p, bRCB, lRCB)
-		}
-		for v := range bPart {
-			if bPart[v] != lPart[v] {
-				t.Fatalf("P=%d vertex %d: side %d batched, %d legacy", p, v, bPart[v], lPart[v])
+		batched, legacy := run(evaluateBatched), run(evaluateLegacy)
+		for r := range batched {
+			b, l := batched[r], legacy[r]
+			if b.before != l.before {
+				t.Fatalf("P=%d rank %d: worlds diverged before the kernel: %+v vs %+v", p, r, b.before, l.before)
 			}
+			if !slices.Equal(b.global, l.global) {
+				t.Fatalf("P=%d rank %d: reduced triples differ:\nbatched %v\nlegacy  %v", p, r, b.global, l.global)
+			}
+			if b.after != l.after {
+				t.Fatalf("P=%d rank %d: counters after the kernel differ: batched %+v, legacy %+v", p, r, b.after, l.after)
+			}
+			if !slices.Equal(b.sides, l.sides) {
+				t.Fatalf("P=%d rank %d: candidate sides differ", p, r)
+			}
+			if !slices.Equal(b.ownedVal, l.ownedVal) || !slices.Equal(b.ghostVal, l.ghostVal) {
+				t.Fatalf("P=%d rank %d: projection values differ", p, r)
+			}
+		}
+	}
+}
+
+// TestParallelRCBMatchesRecount checks ParallelRCB against a from-scratch
+// recount of the assembled partition: the reported Cut must equal
+// graph.CutSize and SideW the summed vertex weights of each side.
+func TestParallelRCBMatchesRecount(t *testing.T) {
+	g := gen.DelaunayRandom(4000, 5)
+	for _, p := range []int{1, 4, 16} {
+		views := embed.SplitCoords(g.G, g.Coords, p)
+		part := make([]int32, g.G.NumVertices())
+		var r0 *ParallelResult
+		mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+			res := ParallelRCB(c, g.G, views[c.Rank()])
+			for i, id := range res.OwnedIDs {
+				part[id] = res.Side[i]
+			}
+			if c.Rank() == 0 {
+				r0 = res
+			}
+		})
+		if want := graph.CutSize(g.G, part); r0.Cut != want || r0.CutBefore != want {
+			t.Fatalf("P=%d: Cut %d CutBefore %d, recount %d", p, r0.Cut, r0.CutBefore, want)
+		}
+		var w [2]int64
+		for v, s := range part {
+			w[s] += int64(g.G.VertexWeight(int32(v)))
+		}
+		if r0.SideW != w {
+			t.Fatalf("P=%d: SideW %v, recount %v", p, r0.SideW, w)
 		}
 	}
 }
@@ -189,66 +246,53 @@ func benchViews(b *testing.B, p int) (*gen.Generated, []*embed.Distributed) {
 }
 
 // BenchmarkParallelPartition measures the full SP-PG7-NL bisection
-// (simulated world included) with the batched kernel and with the
-// legacy per-candidate kernel, at P=4 and P=16.
+// (simulated world included) at P=4 and P=16.
 func BenchmarkParallelPartition(b *testing.B) {
 	for _, p := range []int{4, 16} {
-		for _, mode := range []struct {
-			name    string
-			batched bool
-		}{{"batched", true}, {"legacy", false}} {
-			b.Run(fmt.Sprintf("P%d/%s", p, mode.name), func(b *testing.B) {
-				g, views := benchViews(b, p)
-				defer SetBatching(SetBatching(mode.batched))
-				cfg := DefaultParallelConfig()
-				var cut int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
-						res := ParallelPartition(c, g.G, views[c.Rank()], cfg)
-						if c.Rank() == 0 {
-							cut = res.Cut
-						}
-					})
-				}
-				b.ReportMetric(float64(cut), "cut")
-			})
-		}
+		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
+			g, views := benchViews(b, p)
+			cfg := DefaultParallelConfig()
+			var cut int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+					res := ParallelPartition(c, g.G, views[c.Rank()], cfg)
+					if c.Rank() == 0 {
+						cut = res.Cut
+					}
+				})
+			}
+			b.ReportMetric(float64(cut), "cut")
+		})
 	}
 }
 
-// BenchmarkRCBParallel measures the parallel RCB single cut with the
-// edge-cache kernel and with the legacy per-edge resolution.
+// BenchmarkRCBParallel measures the parallel RCB single cut at P=4 and
+// P=16.
 func BenchmarkRCBParallel(b *testing.B) {
 	for _, p := range []int{4, 16} {
-		for _, mode := range []struct {
-			name    string
-			batched bool
-		}{{"batched", true}, {"legacy", false}} {
-			b.Run(fmt.Sprintf("P%d/%s", p, mode.name), func(b *testing.B) {
-				g, views := benchViews(b, p)
-				defer SetBatching(SetBatching(mode.batched))
-				var cut int64
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
-						res := ParallelRCB(c, g.G, views[c.Rank()])
-						if c.Rank() == 0 {
-							cut = res.Cut
-						}
-					})
-				}
-				b.ReportMetric(float64(cut), "cut")
-			})
-		}
+		b.Run(fmt.Sprintf("P%d", p), func(b *testing.B) {
+			g, views := benchViews(b, p)
+			var cut int64
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
+					res := ParallelRCB(c, g.G, views[c.Rank()])
+					if c.Rank() == 0 {
+						cut = res.Cut
+					}
+				})
+			}
+			b.ReportMetric(float64(cut), "cut")
+		})
 	}
 }
 
 // TestEdgeCacheRemoteSlot: a view whose ghost ring misses a neighbour
-// must skip the edge (slot -1), matching the legacy "neither owned nor
-// ghost" branch.
+// must skip the edge (slot -1), matching evaluateLegacy's "neither
+// owned nor ghost" branch.
 func TestEdgeCacheRemoteSlot(t *testing.T) {
 	b := graph.NewBuilder(3)
 	b.AddEdge(0, 1)
@@ -269,4 +313,117 @@ func TestEdgeCacheRemoteSlot(t *testing.T) {
 	if len(ec.cutA) != 1 {
 		t.Fatalf("cut view has %d edges, want 1 (0-1 only)", len(ec.cutA))
 	}
+}
+
+// evaluateLegacy is the per-candidate kernel evaluateBatched replaced,
+// kept verbatim as its independent reference: owned and ghost points
+// are pre-mapped per centerpoint into materialised []Vec3 arrays, and
+// every candidate re-scans the full owned adjacency with a ghost map
+// lookup or an owned binary search per edge endpoint.
+func evaluateLegacy(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2) *evaluated {
+	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
+	ncand := len(cs.dirs)
+
+	// Pre-map owned and ghost points once per centerpoint.
+	mappedOwn := make([][]geometry.Vec3, len(cs.ms))
+	mappedGhost := make([][]geometry.Vec3, len(cs.ms))
+	for m := range cs.ms {
+		mob := cs.ms[m]
+		mo := make([]geometry.Vec3, nOwn)
+		for i, p := range d.OwnedPos {
+			mo[i] = mob.Apply(geometry.StereoUp(norm(p)))
+		}
+		mg := make([]geometry.Vec3, nGhost)
+		for i, p := range d.GhostPos {
+			mg[i] = mob.Apply(geometry.StereoUp(norm(p)))
+		}
+		mappedOwn[m], mappedGhost[m] = mo, mg
+		c.Charge(float64(nOwn+nGhost) * 6)
+	}
+
+	// Evaluate every candidate locally: cut and side weights.
+	ghostSlotOf := make(map[int32]int32, nGhost)
+	for i, id := range d.GhostIDs {
+		ghostSlotOf[id] = int32(i)
+	}
+	contrib := make([]int64, 3*ncand)
+	sideBuf := make([][]bool, ncand) // per candidate: side of each owned vertex
+	cur := graph.GetCursor(g)
+	defer cur.Release()
+	for k := 0; k < ncand; k++ {
+		mobID := cs.mobOf[k]
+		u, tVal, tID := cs.dirs[k], cs.tVal[k], cs.tID[k]
+		sides := make([]bool, nOwn)
+		cut := int64(0)
+		var w0, w1 int64
+		for i, id := range d.OwnedIDs {
+			v := mappedOwn[mobID][i].Dot(u)
+			s := valueAbove(v, id, tVal, tID)
+			sides[i] = s
+			if s {
+				w1 += int64(g.VertexWeight(id))
+			} else {
+				w0 += int64(g.VertexWeight(id))
+			}
+		}
+		for i, id := range d.OwnedIDs {
+			nbrs, wgts := cur.Arcs(id)
+			for e, nb := range nbrs {
+				if nb < id {
+					continue // counted by the owner of the smaller id
+				}
+				var nbSide bool
+				if slot, ok := ghostSlotOf[nb]; ok {
+					nbSide = valueAbove(mappedGhost[mobID][slot].Dot(u), nb, tVal, tID)
+				} else if li, ok2 := ownedIndex(d, nb); ok2 {
+					nbSide = sides[li]
+				} else {
+					continue // neither owned nor ghost: not adjacent here
+				}
+				if nbSide != sides[i] {
+					cut += int64(wgts[e])
+				}
+			}
+		}
+		contrib[3*k] = cut
+		contrib[3*k+1] = w0
+		contrib[3*k+2] = w1
+		sideBuf[k] = sides
+		c.Charge(float64(nOwn) * 4)
+	}
+	global := mpi.AllReduceSlice(c, contrib, 8, mpi.SumInt64)
+
+	return &evaluated{
+		global: global,
+		sideOf: func(k, i int) bool { return sideBuf[k][i] },
+		fillValOwned: func(k int, out []float64) {
+			for i := range out {
+				out[i] = mappedOwn[cs.mobOf[k]][i].Dot(cs.dirs[k])
+			}
+		},
+		fillValGhost: func(k int, out []float64) {
+			for i := range out {
+				out[i] = mappedGhost[cs.mobOf[k]][i].Dot(cs.dirs[k])
+			}
+		},
+		release: func() {},
+	}
+}
+
+// ownedIndex binary-searches the local index of an owned vertex; owned
+// ids are sorted by construction.
+func ownedIndex(d *embed.Distributed, id int32) (int32, bool) {
+	lo, hi := 0, len(d.OwnedIDs)
+	for lo < hi {
+		mid := (lo + hi) / 2
+		if d.OwnedIDs[mid] < id {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(d.OwnedIDs) && d.OwnedIDs[lo] == id {
+		return int32(lo), true
+	}
+	return 0, false
 }

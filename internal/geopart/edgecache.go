@@ -2,7 +2,6 @@ package geopart
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/embed"
 	"repro/internal/graph"
@@ -10,31 +9,12 @@ import (
 
 // Candidate-batched kernel support: the per-level edge topology cache,
 // packed side bitsets, and the pooled scratch block the fused
-// projection kernel writes into. The batched kernel is semantically
-// invisible — cuts, sides, strip sizes, and virtual clocks are
-// bit-identical to the legacy per-candidate kernel — and SetBatching
-// exists so the determinism tests can prove it, mirroring
-// mpi.SetPooling.
+// projection kernel writes into.
 
-// batchingOn gates the batched kernels globally; disabled, the
-// partitioners run the original per-candidate scan (map lookups and
-// binary searches per edge endpoint, per candidate).
-var batchingOn atomic.Bool
-
-func init() { batchingOn.Store(true) }
-
-// SetBatching enables or disables the batched candidate kernels and
-// returns the previous setting. Test hook: batching must never change
-// results, and the determinism tests prove it by flipping this switch.
-func SetBatching(on bool) bool {
-	prev := batchingOn.Load()
-	batchingOn.Store(on)
-	return prev
-}
-
-// Batching reports whether the batched candidate kernels are enabled.
-// Cache keys that fingerprint process-global knobs read it.
-func Batching() bool { return batchingOn.Load() }
+// Batching reports that candidate evaluation runs the batched kernels.
+// They are the only implementation; the function remains only because
+// the standing benchmark prints it.
+func Batching() bool { return true }
 
 // edgeCache is the per-partition edge topology cache: one pass over
 // d.OwnedIDs resolves every CSR edge endpoint of an owned vertex to a
@@ -105,9 +85,7 @@ func buildEdgeCache(g *graph.Graph, d *embed.Distributed) *edgeCache {
 // release returns the cache to the pool. The caller must not use it
 // afterwards.
 func (ec *edgeCache) release() {
-	if ec != nil {
-		edgeCachePool.Put(ec)
-	}
+	edgeCachePool.Put(ec)
 }
 
 // countCut runs the branchless cut kernel for one candidate: bits is

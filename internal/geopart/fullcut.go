@@ -97,16 +97,10 @@ func RefineFreeSet(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, freeMask [
 // FM after strip refinement. ghostSide is this rank's replica of its
 // ghosts' sides under the winning candidate (strip flips already
 // applied); it is updated alongside res.Side as flips arrive, because
-// the next round's boundary extraction reads both. With ec nil (legacy
-// kernel), the driver resolves its own edge topology cache — the
-// resulting records, charges, and collectives are identical either
-// way, preserving the batching bit-identity contract.
+// the next round's boundary extraction reads both. ec is the edge
+// topology cache the candidate evaluation built for this call.
 func refineFullCut(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig, ec *edgeCache, ghostSide []int8, totalW int64, res *ParallelResult) {
 	c.SetPhase("refine-full")
-	if ec == nil {
-		ec = buildEdgeCache(g, d)
-		defer ec.release()
-	}
 	nOwn, nGhost := ec.nOwn, ec.nGhost
 	slotSide := make([]int8, nOwn+nGhost)
 	for i, s := range res.Side {

@@ -74,33 +74,30 @@ func TestFullCutImprovesOrKeepsCut(t *testing.T) {
 
 // TestFullCutDeterministic: with full-cut on, the partition must be a
 // pure function of (graph, config, P) — identical across repeated
-// runs, both candidate kernels, and both replay schedulers. This is
-// the PR 3/4-style reproducibility contract extended to the new pass.
+// runs and both replay schedulers. This is the PR 3/4-style
+// reproducibility contract extended to the new pass.
 func TestFullCutDeterministic(t *testing.T) {
 	g := gen.DelaunayRandom(3000, 9)
 	defer refine.SetFullCut(refine.SetFullCut(true))
 	for _, p := range []int{1, 4, 16, 64} {
 		var base []int32
 		var baseCut int64
-		for _, batched := range []bool{true, false} {
-			for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched} {
-				name := fmt.Sprintf("P=%d batched=%t replay=%v", p, batched, mode)
-				part, res := func() ([]int32, *ParallelResult) {
-					defer SetBatching(SetBatching(batched))
-					defer mpi.SetReplayMode(mpi.SetReplayMode(mode))
-					return runSP(g, p, DefaultParallelConfig())
-				}()
-				if base == nil {
-					base, baseCut = part, res.Cut
-					continue
-				}
-				if res.Cut != baseCut {
-					t.Fatalf("%s: cut %d, want %d", name, res.Cut, baseCut)
-				}
-				for v := range part {
-					if part[v] != base[v] {
-						t.Fatalf("%s: vertex %d side %d, want %d", name, v, part[v], base[v])
-					}
+		for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched} {
+			name := fmt.Sprintf("P=%d replay=%v", p, mode)
+			part, res := func() ([]int32, *ParallelResult) {
+				defer mpi.SetReplayMode(mpi.SetReplayMode(mode))
+				return runSP(g, p, DefaultParallelConfig())
+			}()
+			if base == nil {
+				base, baseCut = part, res.Cut
+				continue
+			}
+			if res.Cut != baseCut {
+				t.Fatalf("%s: cut %d, want %d", name, res.Cut, baseCut)
+			}
+			for v := range part {
+				if part[v] != base[v] {
+					t.Fatalf("%s: vertex %d side %d, want %d", name, v, part[v], base[v])
 				}
 			}
 		}

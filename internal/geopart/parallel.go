@@ -173,56 +173,18 @@ type evaluated struct {
 // across ranks, and the best candidate is refined by FM on a
 // coordinate strip around the separating circle.
 //
-// Candidate evaluation runs the batched kernel (edge topology cache,
-// fused projections, packed side bitsets) unless SetBatching disabled
-// it; both kernels produce bit-identical cuts, sides, and virtual
-// clocks — batching only changes host wall-clock and allocations.
+// Candidate evaluation runs the batched kernel: an edge topology
+// cache, fused projections, and packed side bitsets.
 func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg ParallelConfig) *ParallelResult {
 	c.SetPhase("geopart")
 	cfg = cfg.withDefaults()
-	rng := rand.New(rand.NewSource(cfg.Seed + 17))
 	totalW := g.TotalVertexWeight()
-
-	// Gather a coordinate sample with ids (identical on every rank).
-	sample := gatherSample(c, d, 4096)
-
-	// Normalisation constants from the sample.
-	var sum geometry.Vec2
-	for _, s := range sample {
-		sum = sum.Add(s.P)
-	}
-	count := len(sample)
-	centroid := sum.Scale(1 / math.Max(float64(count), 1))
-	rs := make([]float64, count)
-	for i, s := range sample {
-		rs[i] = s.P.Sub(centroid).Norm()
-	}
-	scale := 1.0
-	if count > 0 {
-		if med := stats.Quantile(rs, 0.5); med > 1e-12 {
-			scale = 1 / med
-		}
-	}
-	norm := func(p geometry.Vec2) geometry.Vec2 { return p.Sub(centroid).Scale(scale) }
-
-	// Candidate construction (redundant, deterministic on all ranks).
-	sample3 := make([]geometry.Vec3, count)
-	for i, s := range sample {
-		sample3[i] = geometry.StereoUp(norm(s.P))
-	}
-	cs := buildCandidates(cfg, rng, sample3)
-	if len(cs.dirs) == 0 {
-		panic("geopart: ParallelPartition needs at least one great-circle candidate")
-	}
+	cs, sample3, norm := prepareCandidates(c, d, cfg)
+	count := len(sample3)
 	ncand := len(cs.dirs)
 
 	// Evaluate every candidate locally and reduce (cut, w0, w1) triples.
-	var ev *evaluated
-	if batchingOn.Load() {
-		ev = evaluateBatched(c, g, d, &cs, norm)
-	} else {
-		ev = evaluateLegacy(c, g, d, &cs, norm)
-	}
+	ev := evaluateBatched(c, g, d, &cs, norm)
 	defer ev.release()
 
 	// Select the best balanced candidate (identical on all ranks).
@@ -297,12 +259,54 @@ func ParallelPartition(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Pa
 	return res
 }
 
+// prepareCandidates gathers a coordinate sample with ids (identical on
+// every rank), normalises it around its centroid by the median radius,
+// lifts it to the sphere, and builds the candidate set from it. norm is
+// the normalisation the candidate kernels apply to every coordinate.
+func prepareCandidates(c *mpi.Comm, d *embed.Distributed, cfg ParallelConfig) (candSet, []geometry.Vec3, func(geometry.Vec2) geometry.Vec2) {
+	rng := rand.New(rand.NewSource(cfg.Seed + 17))
+	sample := gatherSample(c, d, 4096)
+
+	// Normalisation constants from the sample.
+	var sum geometry.Vec2
+	for _, s := range sample {
+		sum = sum.Add(s.P)
+	}
+	count := len(sample)
+	centroid := sum.Scale(1 / math.Max(float64(count), 1))
+	rs := make([]float64, count)
+	for i, s := range sample {
+		rs[i] = s.P.Sub(centroid).Norm()
+	}
+	scale := 1.0
+	if count > 0 {
+		if med := stats.Quantile(rs, 0.5); med > 1e-12 {
+			scale = 1 / med
+		}
+	}
+	norm := func(p geometry.Vec2) geometry.Vec2 { return p.Sub(centroid).Scale(scale) }
+
+	// Candidate construction (redundant, deterministic on all ranks).
+	sample3 := make([]geometry.Vec3, count)
+	for i, s := range sample {
+		sample3[i] = geometry.StereoUp(norm(s.P))
+	}
+	cs := buildCandidates(cfg, rng, sample3)
+	if len(cs.dirs) == 0 {
+		panic("geopart: ParallelPartition needs at least one great-circle candidate")
+	}
+	return cs, sample3, norm
+}
+
 // evaluateBatched is the candidate-batched kernel: one edge topology
 // cache shared by every candidate, a fused per-vertex projection pass
 // that evaluates all candidate dot products for a vertex while its
 // lifted point is cache-resident, packed side bitsets over owned+ghost
-// slots, and a branchless XOR cut count over the edge cache. Charges
-// and reduced values are bit-identical to evaluateLegacy.
+// slots, and a branchless XOR cut count over the edge cache. The
+// modeled charge is that of an unfused evaluation (one pre-mapping pass
+// per centerpoint, one scan per candidate), so fusion moves host time
+// only; TestBatchedKernelMatchesLegacy checks reduced values and clocks
+// against the unfused reference kernel.
 func evaluateBatched(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2) *evaluated {
 	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
 	ncand := len(cs.dirs)
@@ -310,9 +314,6 @@ func evaluateBatched(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *cand
 	sc, words := getKernelScratch(ncand, nOwn, nGhost)
 	block, bits := sc.block, sc.bits
 
-	// The legacy kernel charges one pre-mapping pass per centerpoint
-	// and one scan per candidate; the batched kernel does the same work
-	// fused, so it charges identically — only host time drops.
 	for range cs.ms {
 		c.Charge(float64(nOwn+nGhost) * 6)
 	}
@@ -390,119 +391,6 @@ func evaluateBatched(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *cand
 			ec.release()
 		},
 	}
-}
-
-// evaluateLegacy is the original per-candidate kernel, kept verbatim as
-// the reference implementation behind SetBatching(false): owned and
-// ghost points are pre-mapped per centerpoint into materialised []Vec3
-// arrays, and every candidate re-scans the full owned adjacency with a
-// ghost map lookup or an owned binary search per edge endpoint.
-func evaluateLegacy(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cs *candSet, norm func(geometry.Vec2) geometry.Vec2) *evaluated {
-	nOwn, nGhost := len(d.OwnedIDs), len(d.GhostIDs)
-	ncand := len(cs.dirs)
-
-	// Pre-map owned and ghost points once per centerpoint.
-	mappedOwn := make([][]geometry.Vec3, len(cs.ms))
-	mappedGhost := make([][]geometry.Vec3, len(cs.ms))
-	for m := range cs.ms {
-		mob := cs.ms[m]
-		mo := make([]geometry.Vec3, nOwn)
-		for i, p := range d.OwnedPos {
-			mo[i] = mob.Apply(geometry.StereoUp(norm(p)))
-		}
-		mg := make([]geometry.Vec3, nGhost)
-		for i, p := range d.GhostPos {
-			mg[i] = mob.Apply(geometry.StereoUp(norm(p)))
-		}
-		mappedOwn[m], mappedGhost[m] = mo, mg
-		c.Charge(float64(nOwn+nGhost) * 6)
-	}
-
-	// Evaluate every candidate locally: cut and side weights.
-	ghostSlotOf := make(map[int32]int32, nGhost)
-	for i, id := range d.GhostIDs {
-		ghostSlotOf[id] = int32(i)
-	}
-	contrib := make([]int64, 3*ncand)
-	sideBuf := make([][]bool, ncand) // per candidate: side of each owned vertex
-	cur := graph.GetCursor(g)
-	defer cur.Release()
-	for k := 0; k < ncand; k++ {
-		mobID := cs.mobOf[k]
-		u, tVal, tID := cs.dirs[k], cs.tVal[k], cs.tID[k]
-		sides := make([]bool, nOwn)
-		cut := int64(0)
-		var w0, w1 int64
-		for i, id := range d.OwnedIDs {
-			v := mappedOwn[mobID][i].Dot(u)
-			s := valueAbove(v, id, tVal, tID)
-			sides[i] = s
-			if s {
-				w1 += int64(g.VertexWeight(id))
-			} else {
-				w0 += int64(g.VertexWeight(id))
-			}
-		}
-		for i, id := range d.OwnedIDs {
-			nbrs, wgts := cur.Arcs(id)
-			for e, nb := range nbrs {
-				if nb < id {
-					continue // counted by the owner of the smaller id
-				}
-				var nbSide bool
-				if slot, ok := ghostSlotOf[nb]; ok {
-					nbSide = valueAbove(mappedGhost[mobID][slot].Dot(u), nb, tVal, tID)
-				} else if li, ok2 := ownedIndex(d, nb); ok2 {
-					nbSide = sides[li]
-				} else {
-					continue // neither owned nor ghost: not adjacent here
-				}
-				if nbSide != sides[i] {
-					cut += int64(wgts[e])
-				}
-			}
-		}
-		contrib[3*k] = cut
-		contrib[3*k+1] = w0
-		contrib[3*k+2] = w1
-		sideBuf[k] = sides
-		c.Charge(float64(nOwn) * 4)
-	}
-	global := mpi.AllReduceSlice(c, contrib, 8, mpi.SumInt64)
-
-	return &evaluated{
-		global: global,
-		sideOf: func(k, i int) bool { return sideBuf[k][i] },
-		fillValOwned: func(k int, out []float64) {
-			for i := range out {
-				out[i] = mappedOwn[cs.mobOf[k]][i].Dot(cs.dirs[k])
-			}
-		},
-		fillValGhost: func(k int, out []float64) {
-			for i := range out {
-				out[i] = mappedGhost[cs.mobOf[k]][i].Dot(cs.dirs[k])
-			}
-		},
-		release: func() {},
-	}
-}
-
-// ownedIndex binary-searches the local index of an owned vertex; owned
-// ids are sorted by construction.
-func ownedIndex(d *embed.Distributed, id int32) (int32, bool) {
-	lo, hi := 0, len(d.OwnedIDs)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if d.OwnedIDs[mid] < id {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(d.OwnedIDs) && d.OwnedIDs[lo] == id {
-		return int32(lo), true
-	}
-	return 0, false
 }
 
 // imbalance2 delegates to the canonical bisection-imbalance definition

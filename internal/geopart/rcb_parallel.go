@@ -15,9 +15,9 @@ import (
 // communication is three short collectives, which is why RCB is the
 // scalability yardstick of the paper.
 //
-// The cut count runs over the edge topology cache (pure array
-// indexing) unless SetBatching disabled it; results and clocks are
-// bit-identical either way.
+// The cut count runs over the edge topology cache: the topology is
+// resolved once, every owned and ghost slot is sided, and the cut is
+// summed by array indexing.
 func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelResult {
 	sample := gatherSample(c, d, 4096)
 	// Global extent (from the sample; the cut only needs the wider
@@ -81,69 +81,28 @@ func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelRes
 	}
 
 	nOwn := len(d.OwnedIDs)
-	sides := make([]bool, nOwn)
 	var cut, w0, w1 int64
-	if batchingOn.Load() {
-		// Batched kernel: resolve the topology once, side every owned
-		// and ghost slot, and count the cut by array indexing.
-		ec := buildEdgeCache(g, d)
-		nGhost := len(d.GhostIDs)
-		slotSide := make([]bool, nOwn+nGhost)
-		for i, id := range d.OwnedIDs {
-			s := valueAbove(axis(i), id, tVal, tID)
-			sides[i] = s
-			slotSide[i] = s
-			if s {
-				w1 += int64(g.VertexWeight(id))
-			} else {
-				w0 += int64(g.VertexWeight(id))
-			}
+	ec := buildEdgeCache(g, d)
+	slotSide := make([]bool, nOwn+len(d.GhostIDs))
+	sides := slotSide[:nOwn]
+	for i, id := range d.OwnedIDs {
+		s := valueAbove(axis(i), id, tVal, tID)
+		sides[i] = s
+		if s {
+			w1 += int64(g.VertexWeight(id))
+		} else {
+			w0 += int64(g.VertexWeight(id))
 		}
-		for gi, id := range d.GhostIDs {
-			slotSide[nOwn+gi] = valueAbove(ghostAxis(int32(gi)), id, tVal, tID)
-		}
-		for e := range ec.cutA {
-			if slotSide[ec.cutA[e]] != slotSide[ec.cutB[e]] {
-				cut += ec.cutW[e]
-			}
-		}
-		ec.release()
-	} else {
-		ghostSlotOf := make(map[int32]int32, len(d.GhostIDs))
-		for i, id := range d.GhostIDs {
-			ghostSlotOf[id] = int32(i)
-		}
-		for i, id := range d.OwnedIDs {
-			s := valueAbove(axis(i), id, tVal, tID)
-			sides[i] = s
-			if s {
-				w1 += int64(g.VertexWeight(id))
-			} else {
-				w0 += int64(g.VertexWeight(id))
-			}
-		}
-		cur := graph.GetCursor(g)
-		for i, id := range d.OwnedIDs {
-			nbrs, wgts := cur.Arcs(id)
-			for e, nb := range nbrs {
-				if nb < id {
-					continue
-				}
-				var nbSide bool
-				if slot, ok := ghostSlotOf[nb]; ok {
-					nbSide = valueAbove(ghostAxis(slot), nb, tVal, tID)
-				} else if li, ok2 := ownedIndex(d, nb); ok2 {
-					nbSide = sides[li]
-				} else {
-					continue
-				}
-				if nbSide != sides[i] {
-					cut += int64(wgts[e])
-				}
-			}
-		}
-		cur.Release()
 	}
+	for gi, id := range d.GhostIDs {
+		slotSide[nOwn+gi] = valueAbove(ghostAxis(int32(gi)), id, tVal, tID)
+	}
+	for e := range ec.cutA {
+		if slotSide[ec.cutA[e]] != slotSide[ec.cutB[e]] {
+			cut += ec.cutW[e]
+		}
+	}
+	ec.release()
 	c.Charge(float64(nOwn) * 3)
 	if rcbModelVersion.Load() >= 2 {
 		chargeZoltanRCB(c, g.NumVertices(), nOwn)

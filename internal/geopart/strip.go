@@ -28,9 +28,8 @@ type stripRecord struct {
 // is solved redundantly, so no result broadcast is needed — the same
 // trick the paper uses for the great-circle selection itself.
 //
-// When the batched kernel ran, ec carries the resolved edge topology
-// and the ring scan is pure array indexing; with ec nil (legacy
-// kernel) the scan falls back to the ghost map and owned binary search.
+// ec carries the resolved edge topology, so the ring scan is pure
+// array indexing over owned and ghost slots.
 //
 // The returned slice is the broadcast flip list (global vertex ids),
 // identical on every rank; the full-cut pass uses it to bring its
@@ -63,54 +62,26 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parallel
 		return x
 	}
 	inStrip := func(val float64) bool { return abs(val-tVal) < eps }
-	// ringTouchesStrip reports whether owned vertex i (id) has a
-	// resolvable neighbour inside the strip.
-	var ringTouchesStrip func(i int, id int32) bool
-	if ec != nil {
-		nOwn := ec.nOwn
-		ringTouchesStrip = func(i int, id int32) bool {
-			for a := ec.start[i]; a < ec.start[i+1]; a++ {
-				s := ec.slot[a]
-				if s < 0 {
-					continue
-				}
-				var v float64
-				if int(s) < nOwn {
-					v = valOwned[s]
-				} else {
-					v = valGhost[int(s)-nOwn]
-				}
-				if inStrip(v) {
-					return true
-				}
+	// ringTouchesStrip reports whether owned vertex i has a resolvable
+	// neighbour inside the strip.
+	nOwn := ec.nOwn
+	ringTouchesStrip := func(i int) bool {
+		for a := ec.start[i]; a < ec.start[i+1]; a++ {
+			s := ec.slot[a]
+			if s < 0 {
+				continue
 			}
-			return false
-		}
-	} else {
-		ghostSlot := make(map[int32]int32, len(d.GhostIDs))
-		for i, id := range d.GhostIDs {
-			ghostSlot[id] = int32(i)
-		}
-		valOf := func(id int32) (float64, bool) {
-			if li, ok := ownedIndex(d, id); ok {
-				return valOwned[li], true
+			var v float64
+			if int(s) < nOwn {
+				v = valOwned[s]
+			} else {
+				v = valGhost[int(s)-nOwn]
 			}
-			if gi, ok := ghostSlot[id]; ok {
-				return valGhost[gi], true
+			if inStrip(v) {
+				return true
 			}
-			return 0, false
 		}
-		cur := graph.GetCursor(g)
-		defer cur.Release()
-		ringTouchesStrip = func(_ int, id int32) bool {
-			nbrs, _ := cur.Arcs(id)
-			for _, nb := range nbrs {
-				if v, ok := valOf(nb); ok && inStrip(v) {
-					return true
-				}
-			}
-			return false
-		}
+		return false
 	}
 	// Collect local strip and ring records.
 	var recs []stripRecord
@@ -119,7 +90,7 @@ func refineStrip(c *mpi.Comm, g *graph.Graph, d *embed.Distributed, cfg Parallel
 			recs = append(recs, stripRecord{ID: id, Side: int8(res.Side[i]), Strip: true})
 			continue
 		}
-		if ringTouchesStrip(i, id) {
+		if ringTouchesStrip(i) {
 			recs = append(recs, stripRecord{ID: id, Side: int8(res.Side[i])})
 		}
 	}

@@ -64,18 +64,19 @@ func (b *Builder) SetVertexWeight(v int32, w int32) {
 }
 
 // Build produces the CSR graph. The builder remains usable (more edges
-// may be added and Build called again). Large builds route to the
-// parallel per-vertex bucket path (see builder_par.go) unless
-// SetParallelBuild disabled it; the two paths are bit-identical.
+// may be added and Build called again). Builds of at least
+// parallelBuildMinEdges records run the parallel per-vertex bucket path
+// (see builder_par.go), smaller ones the serial sort-and-merge; the two
+// paths are bit-identical.
 func (b *Builder) Build() *Graph {
-	if parallelBuild.Load() && len(b.us) >= parallelBuildMinEdges {
+	if len(b.us) >= parallelBuildMinEdges {
 		return b.buildParallel()
 	}
 	return b.buildSerial()
 }
 
-// buildSerial is the legacy global sort-and-merge path, kept verbatim
-// as the reference the parallel path is tested against.
+// buildSerial is the global sort-and-merge path: the small-build path,
+// and the reference the parallel path is tested against.
 func (b *Builder) buildSerial() *Graph {
 	// Sort edge records by (u, v) to merge duplicates.
 	idx := make([]int32, len(b.us))

@@ -3,7 +3,6 @@ package graph
 import (
 	"slices"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/hostpar"
 )
@@ -14,31 +13,17 @@ import (
 // duplicate-merged independently — embarrassingly parallel over
 // vertices — and rows are written straight into their final offsets.
 //
-// The output is provably bit-identical to the legacy path: the legacy
+// The output is provably bit-identical to the serial path: the global
 // sort-and-merge emits, for every vertex, its unique neighbours in
 // ascending order with duplicate weights summed (int32 addition is
 // order-insensitive), which is exactly what the per-bucket sort
-// produces. The determinism tests flip SetParallelBuild to prove it.
+// produces. Build picks the path by record count alone; the package
+// tests force tiny builds through both and compare.
 
-// parallelBuild gates the parallel path; disabled, Build runs the
-// original global sort-and-merge.
-var parallelBuild atomic.Bool
-
-func init() { parallelBuild.Store(true) }
-
-// SetParallelBuild enables or disables the parallel Build path and
-// returns the previous setting. Test hook à la geopart.SetBatching:
-// the parallel path must never change results, and the determinism
-// tests prove it by flipping this switch.
-func SetParallelBuild(on bool) bool {
-	prev := parallelBuild.Load()
-	parallelBuild.Store(on)
-	return prev
-}
-
-// ParallelBuild reports whether the parallel Build path is enabled.
-// Cache keys that fingerprint process-global knobs read it.
-func ParallelBuild() bool { return parallelBuild.Load() }
+// ParallelBuild reports that Build runs the per-vertex bucket path at
+// or above the size gate. The function remains only because the
+// standing benchmark prints it.
+func ParallelBuild() bool { return true }
 
 // parallelBuildMinEdges is the record count below which the serial path
 // is cheaper than forking. A var so package tests can force tiny builds
@@ -47,7 +32,7 @@ var parallelBuildMinEdges = 4096
 
 // SetParallelBuildMinEdges adjusts the size gate below which Build stays
 // serial and returns the previous value. Test hook: lets determinism
-// tests in other packages force tiny builds through the parallel path.
+// tests in other packages force builds through either path.
 func SetParallelBuildMinEdges(n int) int {
 	prev := parallelBuildMinEdges
 	parallelBuildMinEdges = n
@@ -66,9 +51,9 @@ func arcTarget(a int64) int32 { return int32(a >> 32) }
 func arcWeight(a int64) int32 { return int32(uint32(a)) }
 
 // dedupArcs merges adjacent same-target entries of a sorted packed-arc
-// slice in place, summing weights with int32 wraparound (matching the
-// legacy merge), and reports the unique count and whether any merged
-// weight differs from 1.
+// slice in place, summing weights with int32 wraparound (matching
+// buildSerial's merge), and reports the unique count and whether any
+// merged weight differs from 1.
 func dedupArcs(seg []int64) (uniq int, anyNot1 bool) {
 	if len(seg) == 0 {
 		return 0, false

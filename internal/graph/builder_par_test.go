@@ -61,7 +61,7 @@ func int32SlicesEqual(a, b []int32) bool {
 }
 
 // TestParallelBuildBitIdentical compares the parallel bucket path
-// against the legacy sort-and-merge on dense, sparse, weighted, and
+// against buildSerial's global sort-and-merge on dense, sparse, weighted, and
 // unweighted inputs across worker counts — CSR arrays, weight arrays,
 // and weightedness detection must agree bit-for-bit.
 func TestParallelBuildBitIdentical(t *testing.T) {
@@ -81,9 +81,7 @@ func TestParallelBuildBitIdentical(t *testing.T) {
 	}
 	for ci, tc := range cases {
 		b := randomBuilder(tc.n, tc.records, tc.weighted, int64(1000+ci))
-		defer SetParallelBuild(SetParallelBuild(false))
-		want := b.Build() // legacy reference
-		SetParallelBuild(true)
+		want := b.buildSerial()
 		for _, w := range []int{1, 2, 8} {
 			defer hostpar.SetWorkers(hostpar.SetWorkers(w))
 			got := b.Build()
@@ -105,12 +103,10 @@ func TestParallelBuildUnitWeightMergeStaysWeighted(t *testing.T) {
 		b.AddEdge(2, 3)
 		return b
 	}
-	defer SetParallelBuild(SetParallelBuild(false))
-	want := mk().Build()
-	SetParallelBuild(true)
+	want := mk().buildSerial()
 	got := mk().Build()
 	if want.EWgt == nil || got.EWgt == nil {
-		t.Fatalf("merged duplicate should force weights: legacy nil=%v parallel nil=%v", want.EWgt == nil, got.EWgt == nil)
+		t.Fatalf("merged duplicate should force weights: serial nil=%v parallel nil=%v", want.EWgt == nil, got.EWgt == nil)
 	}
 	graphsEqual(t, "unit merge", want, got)
 }
@@ -142,24 +138,16 @@ func TestParallelBuildSteadyStateAllocs(t *testing.T) {
 	t.Logf("steady-state parallel Build: %.1f mallocs per call", perCall)
 }
 
-// BenchmarkBuilderBuild measures CSR assembly with the legacy global
-// sort and the parallel bucket path.
+// BenchmarkBuilderBuild measures CSR assembly of 2^20 edge records
+// over 2^17 vertices.
 func BenchmarkBuilderBuild(b *testing.B) {
 	bld := randomBuilder(1<<17, 1<<20, false, 11)
-	for _, mode := range []struct {
-		name string
-		on   bool
-	}{{"parallel", true}, {"legacy", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			defer SetParallelBuild(SetParallelBuild(mode.on))
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				g := bld.Build()
-				if g.NumVertices() != 1<<17 {
-					b.Fatal("bad build")
-				}
-			}
-		})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		g := bld.Build()
+		if g.NumVertices() != 1<<17 {
+			b.Fatal("bad build")
+		}
 	}
 }

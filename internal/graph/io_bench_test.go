@@ -9,16 +9,13 @@ import (
 )
 
 // BenchmarkIORoundTrip serialises a suite-scale graph and parses it
-// back. The serial lanes measure the legacy streaming readers; the
-// default lanes measure the byte-slice parallel parsers (the ≥4×
-// throughput acceptance bound compares metis vs metis-serial), and the
-// write lanes pin that the buffered AppendInt writers are not slower
-// than the readers.
+// back. The read lanes measure the byte-slice parsers; the write lanes
+// pin that the buffered AppendInt writers are not slower than the
+// readers.
 func BenchmarkIORoundTrip(b *testing.B) {
 	g := gen.Grid2D(200, 200).G
-	benchRead := func(data []byte, mm, parallel bool) func(*testing.B) {
+	benchRead := func(data []byte, mm bool) func(*testing.B) {
 		return func(b *testing.B) {
-			defer graph.SetParallelParse(graph.SetParallelParse(parallel))
 			read := graph.ReadMETIS
 			if mm {
 				read = graph.ReadMatrixMarket
@@ -44,10 +41,8 @@ func BenchmarkIORoundTrip(b *testing.B) {
 	if err := graph.WriteMatrixMarket(&mm, g); err != nil {
 		b.Fatal(err)
 	}
-	b.Run("metis", benchRead(metis.Bytes(), false, true))
-	b.Run("metis-serial", benchRead(metis.Bytes(), false, false))
-	b.Run("matrixmarket", benchRead(mm.Bytes(), true, true))
-	b.Run("matrixmarket-serial", benchRead(mm.Bytes(), true, false))
+	b.Run("metis", benchRead(metis.Bytes(), false))
+	b.Run("matrixmarket", benchRead(mm.Bytes(), true))
 	b.Run("write-metis", func(b *testing.B) {
 		b.SetBytes(int64(metis.Len()))
 		b.ReportAllocs()

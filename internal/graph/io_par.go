@@ -8,36 +8,24 @@ import (
 	"slices"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/hostpar"
 )
 
-// The parallel ingest path: ReadMETIS/ReadMatrixMarket slurp the input
-// and parse it from a byte slice — newline indexing, line
-// classification, and per-line tokenise/parse all chunked over the
-// hostpar substrate at line boundaries, with a deterministic merge of
-// the per-chunk arc buffers in file order. The per-token fast path
-// replaces the Scanner + strings.Fields + strconv.Atoi stack (the old
-// 34 MB/s wall); any irregular token falls back to strconv so every
-// error string matches the serial readers byte for byte, and the
-// assembled entry list is handed to the same Builder the serial path
-// uses, so the resulting Graph is bit-identical. SetParallelParse
-// restores the legacy streaming readers (kept verbatim in io.go) for
-// differential tests.
+// The ingest path: ReadMETIS/ReadMatrixMarket slurp the input and
+// parse it from a byte slice — newline indexing, line classification,
+// and per-line tokenise/parse all chunked over the hostpar substrate at
+// line boundaries, with a deterministic merge of the per-chunk arc
+// buffers in file order. The per-token fast path replaces a Scanner +
+// strings.Fields + strconv.Atoi stack (the old 34 MB/s wall); any
+// irregular token falls back to strconv, so error strings match the
+// streaming readers byte for byte. Those readers live on in the package
+// tests (io_serial_test.go) as the differential oracle.
 
-var parallelParse atomic.Bool
-
-func init() { parallelParse.Store(true) }
-
-// SetParallelParse toggles the byte-slice parallel parsing path of
-// ReadMETIS and ReadMatrixMarket, returning the previous setting. The
-// serial readers are kept verbatim as the reference the parallel path
-// is differentially tested against.
-func SetParallelParse(on bool) bool { return parallelParse.Swap(on) }
-
-// ParallelParse reports whether parallel parsing is enabled.
-func ParallelParse() bool { return parallelParse.Load() }
+// ParallelParse reports that ReadMETIS and ReadMatrixMarket run the
+// byte-slice parser. It is the only implementation; the function
+// remains only because the standing benchmark prints it.
+func ParallelParse() bool { return true }
 
 const (
 	// parseGrainBytes is the minimum bytes per newline-index chunk.

@@ -10,18 +10,16 @@ import (
 	"repro/internal/hostpar"
 )
 
-// parseBoth runs a reader against the serial and parallel paths and
-// asserts they produce identical graphs or identical errors, returning
-// the parallel result.
+// parseBoth runs the streaming reference reader and the shipped
+// byte-slice reader on data and asserts they produce identical graphs
+// or identical errors, returning the shipped reader's result.
 func parseBoth(t *testing.T, data []byte, mm bool) (*graph.Graph, error) {
 	t.Helper()
-	read := graph.ReadMETIS
+	serial, read := graph.ReadMETISSerial, graph.ReadMETIS
 	if mm {
-		read = graph.ReadMatrixMarket
+		serial, read = graph.ReadMatrixMarketSerial, graph.ReadMatrixMarket
 	}
-	graph.SetParallelParse(false)
-	sg, serr := read(bytes.NewReader(data))
-	graph.SetParallelParse(true)
+	sg, serr := serial(bytes.NewReader(data))
 	pg, perr := read(bytes.NewReader(data))
 	if (serr == nil) != (perr == nil) {
 		t.Fatalf("error mismatch: serial=%v parallel=%v\ninput: %q", serr, perr, data)
@@ -111,7 +109,6 @@ var metisCases = []struct {
 }
 
 func TestParallelMETISMatchesSerial(t *testing.T) {
-	defer graph.SetParallelParse(graph.SetParallelParse(true))
 	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 	for _, w := range []int{1, 2, 8} {
 		hostpar.SetWorkers(w)
@@ -148,7 +145,6 @@ var mmCases = []struct {
 }
 
 func TestParallelMatrixMarketMatchesSerial(t *testing.T) {
-	defer graph.SetParallelParse(graph.SetParallelParse(true))
 	defer hostpar.SetWorkers(hostpar.SetWorkers(1))
 	for _, w := range []int{1, 2, 8} {
 		hostpar.SetWorkers(w)
@@ -200,21 +196,7 @@ func FuzzReadMETISParallel(f *testing.F) {
 		if len(data) > 1<<16 {
 			return
 		}
-		defer graph.SetParallelParse(graph.SetParallelParse(true))
-		graph.SetParallelParse(false)
-		sg, serr := graph.ReadMETIS(bytes.NewReader(data))
-		graph.SetParallelParse(true)
-		pg, perr := graph.ReadMETIS(bytes.NewReader(data))
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("error mismatch: serial=%v parallel=%v", serr, perr)
-		}
-		if serr != nil {
-			if serr.Error() != perr.Error() {
-				t.Fatalf("error text mismatch:\nserial:   %v\nparallel: %v", serr, perr)
-			}
-			return
-		}
-		assertSameParsedGraph(t, sg, pg, data)
+		parseBoth(t, data, false)
 	})
 }
 
@@ -228,20 +210,6 @@ func FuzzReadMatrixMarketParallel(f *testing.F) {
 		if len(data) > 1<<16 {
 			return
 		}
-		defer graph.SetParallelParse(graph.SetParallelParse(true))
-		graph.SetParallelParse(false)
-		sg, serr := graph.ReadMatrixMarket(bytes.NewReader(data))
-		graph.SetParallelParse(true)
-		pg, perr := graph.ReadMatrixMarket(bytes.NewReader(data))
-		if (serr == nil) != (perr == nil) {
-			t.Fatalf("error mismatch: serial=%v parallel=%v", serr, perr)
-		}
-		if serr != nil {
-			if serr.Error() != perr.Error() {
-				t.Fatalf("error text mismatch:\nserial:   %v\nparallel: %v", serr, perr)
-			}
-			return
-		}
-		assertSameParsedGraph(t, sg, pg, data)
+		parseBoth(t, data, true)
 	})
 }

@@ -30,8 +30,8 @@ var workerSetting atomic.Int32
 
 // SetWorkers sets the host worker count and returns the previous
 // setting (0 meaning "one per core"). Passing 0 restores the default.
-// Mirrors geopart.SetBatching: tests flip it to prove worker count
-// never changes results.
+// The worker count is a host-performance knob only: the determinism
+// tests sweep it and require identical results and clocks.
 func SetWorkers(n int) int {
 	if n < 0 {
 		n = 0

@@ -19,9 +19,10 @@ import (
 	"repro/internal/graph"
 )
 
-// fullCutOn gates the full-cut boundary-FM rounds globally, mirroring
-// geopart.SetBatching / mpi.SetPooling: a process-global atomic the
-// CLI flags set once and the bit-identity tests flip.
+// fullCutOn gates the full-cut boundary-FM rounds globally: a
+// process-global atomic the -refine flag sets once per process. It
+// selects an algorithm, not a kernel; off keeps the strip-only
+// pipeline, and the bench cache key fingerprints it.
 var fullCutOn atomic.Bool
 
 // SetFullCut enables or disables the full-cut boundary-FM pass after
