@@ -19,7 +19,6 @@ import (
 	"strings"
 
 	"repro/internal/bench"
-	"repro/internal/geopart"
 	"repro/internal/hostpar"
 	"repro/internal/mpi"
 	"repro/internal/refine"
@@ -34,9 +33,7 @@ func main() {
 		compress   = flag.Bool("compress", false, "hold suite graphs in the delta/varint compressed adjacency representation (identical tables; smaller footprint)")
 		refineFlag = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM)")
 		trials     = flag.Int("trials", 1, "evolutionary search width for the ScalaPart rows: N embed+partition trials with decorrelated seeds (1 = single pass)")
-		rcbModel   = flag.Int("rcb-model", 2, "RCB cost-model version: 2 (Zoltan-faithful per-level medians + migration) | 1 (historical single-scan); partitions identical")
 		replayFlag = flag.String("replay", "goroutine", "rank scheduling: goroutine | batched (step at most -workers ranks' compute between communication points)")
-		collFlag   = flag.String("collectives", "fanin", "collective rendezvous engine: fanin (lock-free arrival slots, allocation-free) | legacy (mutex/cond gather-all); results are bit-identical")
 		phaseBreak = flag.Bool("phase-breakdown", false, "print the per-phase virtual-time and byte-volume breakdown of the ScalaPart sweep, then exit")
 		chaosSeed  = flag.Int64("chaos-seed", 1, "base seed for the chaos experiment's fault schedules")
 		chaosRuns  = flag.Int("chaos-schedules", 3, "fault schedules per (graph, P, policy) in the chaos experiment")
@@ -93,12 +90,6 @@ func main() {
 		os.Exit(1)
 	}
 	mpi.SetReplayMode(replay)
-	coll, err := mpi.ParseCollectiveEngine(*collFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "benchsuite:", err)
-		os.Exit(1)
-	}
-	mpi.SetCollectiveEngine(coll)
 	switch *refineFlag {
 	case "off":
 	case "full":
@@ -107,11 +98,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "benchsuite: unknown -refine mode %q (want off or full)\n", *refineFlag)
 		os.Exit(1)
 	}
-	if *rcbModel != 1 && *rcbModel != 2 {
-		fmt.Fprintf(os.Stderr, "benchsuite: unknown -rcb-model %d (want 1 or 2)\n", *rcbModel)
-		os.Exit(1)
-	}
-	geopart.SetRCBModel(*rcbModel)
 	if *trials < 1 {
 		fmt.Fprintf(os.Stderr, "benchsuite: -trials must be >= 1 (got %d)\n", *trials)
 		os.Exit(1)

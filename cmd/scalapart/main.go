@@ -57,10 +57,8 @@ func main() {
 		psFlag      = flag.String("ps", "", "processor sweep for -bench-json (default 1,2,...,1024)")
 		refineFlag  = flag.String("refine", "off", "extra refinement beyond the always-on strip FM: off (historical pipeline) | full (full-cut distributed boundary FM)")
 		trials      = flag.Int("trials", 1, "evolutionary search width for ScalaPart: run the embed+partition tail N times with decorrelated seeds and combine the two best bisections (1 = single pass)")
-		rcbModel    = flag.Int("rcb-model", 2, "RCB cost-model version: 2 (Zoltan-faithful: per-level median search + migration) | 1 (historical single-scan model); partition results are identical")
 		workers     = flag.Int("workers", 0, "host worker pool size for the fork-join coarsening/embedding kernels (0 = one per core)")
 		replayFlag  = flag.String("replay", "goroutine", "rank scheduling: goroutine (one live goroutine per rank) | batched (step at most -workers ranks' compute between communication points)")
-		collFlag    = flag.String("collectives", "fanin", "collective rendezvous engine: fanin (lock-free arrival slots, allocation-free) | legacy (mutex/cond gather-all); results are bit-identical")
 		phaseBreak  = flag.Bool("phase-breakdown", false, "print the per-phase virtual-time and byte-volume breakdown (Section 3.1 cost terms); with -bench-json, embed it per run")
 		traceOut    = flag.String("trace", "", "write a Chrome trace-event JSON of the run to this file (timeline axis = virtual clock)")
 		checkInv    = flag.Bool("check-invariants", false, "validate runtime invariants (clock monotonicity, byte symmetry, collective participation) and partition invariants after the run")
@@ -75,12 +73,6 @@ func main() {
 		os.Exit(1)
 	}
 	mpi.SetReplayMode(replay)
-	coll, err := mpi.ParseCollectiveEngine(*collFlag)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "scalapart:", err)
-		os.Exit(1)
-	}
-	mpi.SetCollectiveEngine(coll)
 	switch *refineFlag {
 	case "off":
 	case "full":
@@ -89,11 +81,6 @@ func main() {
 		fmt.Fprintf(os.Stderr, "scalapart: unknown -refine mode %q (want off or full)\n", *refineFlag)
 		os.Exit(1)
 	}
-	if *rcbModel != 1 && *rcbModel != 2 {
-		fmt.Fprintf(os.Stderr, "scalapart: unknown -rcb-model %d (want 1 or 2)\n", *rcbModel)
-		os.Exit(1)
-	}
-	geopart.SetRCBModel(*rcbModel)
 	if *trials < 1 {
 		fmt.Fprintf(os.Stderr, "scalapart: -trials must be >= 1 (got %d)\n", *trials)
 		os.Exit(1)

@@ -10,8 +10,8 @@ import (
 // TestCacheKeySeparatesEnvironments is the regression test for the
 // singleflight cache handing back a stale Run after a process-global
 // knob changed: the key must fingerprint the worker-pool size, the
-// replay scheduler, the collective engine, buffer pooling, the fault
-// plan, and the tracing flag — not just (graph, method, p).
+// replay scheduler, buffer pooling, the fault plan, and the tracing
+// flag — not just (graph, method, p).
 func TestCacheKeySeparatesEnvironments(t *testing.T) {
 	h := New(0.03, []int{8})
 	base := h.Get("ecology1", MethodSP, 8)
@@ -39,10 +39,6 @@ func TestCacheKeySeparatesEnvironments(t *testing.T) {
 			{"replay scheduler", func() func() {
 				prev := mpi.SetReplayMode(mpi.ReplayBatched)
 				return func() { mpi.SetReplayMode(prev) }
-			}},
-			{"collective engine", func() func() {
-				prev := mpi.SetCollectiveEngine(mpi.CollectivesLegacy)
-				return func() { mpi.SetCollectiveEngine(prev) }
 			}},
 			{"pooling", func() func() {
 				prev := mpi.SetPooling(false)

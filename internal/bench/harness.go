@@ -190,22 +190,21 @@ func (h *Harness) Get(graphName, method string, p int) *Run {
 }
 
 // envKey fingerprints the process-global and harness-level knobs a run
-// depends on beyond (graph, method, P): the host worker pool, replay
-// scheduler and collective engine (wall clocks), buffer pooling (wall
-// clocks and allocations), the full-cut, trial-count and RCB cost-model
-// knobs (cuts and clocks), compression, the recovery policy and fault
-// plan (everything), and tracing (the Breakdown field). Two Gets with
-// different fingerprints compute independent runs instead of sharing a
-// stale cache entry.
+// depends on beyond (graph, method, P): the host worker pool and replay
+// scheduler (wall clocks), buffer pooling (wall clocks and
+// allocations), the full-cut and trial-count knobs (cuts and clocks),
+// compression, the recovery policy and fault plan (everything), and
+// tracing (the Breakdown field). Two Gets with different fingerprints
+// compute independent runs instead of sharing a stale cache entry.
 func (h *Harness) envKey() string {
 	trials := h.Trials
 	if trials < 1 {
 		trials = 1
 	}
-	return fmt.Sprintf("w%d|replay:%s|coll:%s|pool%t|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%t|rcbv:%d|faults:%s",
-		hostpar.Workers(), mpi.Replay(), mpi.Collectives(), mpi.PoolingEnabled(), h.Trace, h.Compress,
+	return fmt.Sprintf("w%d|replay:%s|pool%t|trace%t|compress%t|recover:%s:%d:%d:%d|trials:%d|fullcut:%t|faults:%s",
+		hostpar.Workers(), mpi.Replay(), mpi.PoolingEnabled(), h.Trace, h.Compress,
 		h.Recover.Policy, h.Recover.RetryBudget, h.Recover.MaxRespawns, h.Recover.MaxShrinks,
-		trials, refine.FullCut(), geopart.RCBModel(),
+		trials, refine.FullCut(),
 		h.Model.Faults.Key())
 }
 

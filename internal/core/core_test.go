@@ -62,13 +62,12 @@ func TestScalaPartDeterminism(t *testing.T) {
 }
 
 // TestPartitionGeometricAndRCB exercise the coordinate-given entry
-// points on a mesh with natural coordinates. The RCB-cheaper-than-SP
-// assertion holds under the historical single-scan RCB clock (model
-// version 1); the Zoltan-faithful default charges RCB's real median
-// iterations and inverts it at this graph size (see EXPERIMENTS.md
-// § "The quality layer").
+// points on a mesh with natural coordinates: both cuts must match a
+// recount and SP-PG7-NL must stay within balance. Which of the two is
+// cheaper depends on P and graph size under the Zoltan-faithful RCB
+// clock (see EXPERIMENTS.md § "The quality layer"), so it is not
+// asserted here.
 func TestPartitionGeometricAndRCB(t *testing.T) {
-	defer geopart.SetRCBModel(geopart.SetRCBModel(1))
 	g := gen.DelaunayRandom(4000, 3)
 	for _, p := range []int{1, 8} {
 		spr := PartitionGeometric(g.G, g.Coords, p, geopart.DefaultParallelConfig(), mpi.DefaultModel())
@@ -81,9 +80,6 @@ func TestPartitionGeometricAndRCB(t *testing.T) {
 		rcb := RCBParallel(g.G, g.Coords, p, mpi.DefaultModel())
 		if got := graph.CutSize(g.G, rcb.Part); got != rcb.Cut {
 			t.Fatalf("RCB p=%d: cut mismatch %d vs %d", p, rcb.Cut, got)
-		}
-		if rcb.Times.Total >= spr.Times.Total {
-			t.Fatalf("p=%d: RCB (%.3g) should be cheaper than SP-PG7-NL (%.3g)", p, rcb.Times.Total, spr.Times.Total)
 		}
 	}
 }

@@ -12,8 +12,7 @@
 // search is opt-in (Options.Trials > 1) and deterministic — trial
 // seeds are derived arithmetically, scores are compared with a total
 // order, and the combine operates on globally replicated outcomes — so
-// results are bit-identical across workers, replay modes, and both
-// collective engines.
+// results are bit-identical across workers and replay modes.
 package core
 
 import (

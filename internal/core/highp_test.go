@@ -8,14 +8,15 @@ import (
 	"repro/internal/mpi"
 )
 
-// TestHighPEnginesBitIdentical extends the PR 7 replay-mode contract to
-// the high-P engine of this PR: the fan-in collective rendezvous, the
-// ring mailboxes, and the rank arena are pure host-performance
-// machinery, so the full pipeline must produce bit-identical cuts,
-// partitions, virtual clocks, and message traffic across collective
-// engines and replay modes — at the suite's upper communicator sizes,
-// where the fan-in chunked scan and the pending-ring growth paths
-// actually engage. The reference is the legacy engine under
+// TestHighPEnginesBitIdentical pins the collective engine over the full
+// pipeline at the suite's upper communicator sizes, where the fan-in
+// chunked scan and the pending-ring growth paths actually engage. The
+// allocation-free word path that typed collectives take by default and
+// the boxed fan-in path are two implementations of one rendezvous, so
+// cuts, partitions, virtual clocks, and message traffic must be
+// bit-identical between them under both replay modes. A non-nil empty
+// fault plan forces the boxed path (wordsEligible reads only plan
+// presence) and fires nothing. The reference is the word path under
 // goroutine-per-rank replay.
 func TestHighPEnginesBitIdentical(t *testing.T) {
 	cases := []struct {
@@ -30,34 +31,14 @@ func TestHighPEnginesBitIdentical(t *testing.T) {
 		}
 		t.Run(fmt.Sprintf("P%d", tc.p), func(t *testing.T) {
 			g := gen.Grid2D(tc.side, tc.side)
-			defer mpi.SetCollectiveEngine(mpi.SetCollectiveEngine(mpi.CollectivesLegacy))
 			defer mpi.SetReplayMode(mpi.SetReplayMode(mpi.ReplayGoroutine))
 			ref := Partition(g.G, tc.p, DefaultOptions(42))
-			mpi.SetCollectiveEngine(mpi.CollectivesFanin)
+			boxed := DefaultOptions(42)
+			boxed.Model.Faults = mpi.NewFaultPlan()
 			for _, mode := range []mpi.ReplayMode{mpi.ReplayGoroutine, mpi.ReplayBatched} {
 				mpi.SetReplayMode(mode)
-				got := Partition(g.G, tc.p, DefaultOptions(42))
-				tag := fmt.Sprintf("fanin replay=%s", mode)
-				if got.Cut != ref.Cut {
-					t.Errorf("%s: cut differs: got %d legacy %d", tag, got.Cut, ref.Cut)
-				}
-				for v := range got.Part {
-					if got.Part[v] != ref.Part[v] {
-						t.Fatalf("%s: vertex %d assigned to part %d, legacy %d",
-							tag, v, got.Part[v], ref.Part[v])
-					}
-				}
-				for r := range got.Stats {
-					a, b := got.Stats[r], ref.Stats[r]
-					if a.Time != b.Time || a.CommTime != b.CommTime {
-						t.Errorf("%s rank %d clocks differ: got (%v, %v) legacy (%v, %v)",
-							tag, r, a.Time, a.CommTime, b.Time, b.CommTime)
-					}
-					if a.Messages != b.Messages || a.BytesSent != b.BytesSent {
-						t.Errorf("%s rank %d traffic differs: got (%d msg, %d B) legacy (%d msg, %d B)",
-							tag, r, a.Messages, a.BytesSent, b.Messages, b.BytesSent)
-					}
-				}
+				got := Partition(g.G, tc.p, boxed)
+				requireSameOutcome(t, fmt.Sprintf("boxed replay=%s", mode), got, ref)
 			}
 		})
 	}

@@ -9,9 +9,10 @@ import (
 	"repro/internal/mpi"
 )
 
-// TestReplayModesBitIdentical is the PR 7 contract: the host-parallel
-// embedding kernels and the batched rank-stepping scheduler are pure
-// host-performance features, so the full pipeline must produce
+// TestReplayModesBitIdentical is the host-performance contract of the
+// runtime: the host-parallel embedding kernels and the batched
+// rank-stepping scheduler may only change host wall clocks, so the full
+// pipeline must produce
 // bit-identical cuts, partitions, virtual clocks, and message traffic
 // across worker counts 1/2/8 and both replay modes — including batched
 // worlds where simulated P far exceeds the worker batch. The reference

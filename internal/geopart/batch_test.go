@@ -2,6 +2,7 @@ package geopart
 
 import (
 	"fmt"
+	"math"
 	"runtime"
 	"slices"
 	"testing"
@@ -193,6 +194,39 @@ func TestParallelRCBMatchesRecount(t *testing.T) {
 		}
 		if r0.SideW != w {
 			t.Fatalf("P=%d: SideW %v, recount %v", p, r0.SideW, w)
+		}
+	}
+}
+
+// TestParallelRCBClockGolden pins the shipped RCB clock, the
+// Zoltan-faithful cost model (chargeZoltanRCB): rank 0's modeled time
+// and communication time on a 64×64 grid must equal, bit for bit, the
+// values recorded before the single-scan cost model was retired. No
+// BENCH file has an RCB row, so this is the guard that keeps the clock
+// behind Figure 4's RCB curve from drifting.
+func TestParallelRCBClockGolden(t *testing.T) {
+	g := gen.Grid2D(64, 64)
+	golden := []struct {
+		p              int
+		elapsed, commT uint64 // math.Float64bits
+	}{
+		{1, 0x3f32aee02610a2f5, 0x3efc58c6d8a67ba8},
+		{4, 0x3f31d55fd95c8fbd, 0x3f235c0a655c41c9},
+		{16, 0x3f3b1a6b9bc46913, 0x3f371a1215d25d59},
+	}
+	for _, tc := range golden {
+		views := embed.SplitCoords(g.G, g.Coords, tc.p)
+		var elapsed float64
+		stats := mpi.Run(tc.p, mpi.DefaultModel(), func(c *mpi.Comm) {
+			ParallelRCB(c, g.G, views[c.Rank()])
+			if c.Rank() == 0 {
+				elapsed = c.Elapsed()
+			}
+		})
+		if math.Float64bits(elapsed) != tc.elapsed || math.Float64bits(stats[0].CommTime) != tc.commT {
+			t.Errorf("P=%d: rank 0 clock (elapsed %v, comm %v) drifted from the recorded (%v, %v)",
+				tc.p, elapsed, stats[0].CommTime,
+				math.Float64frombits(tc.elapsed), math.Float64frombits(tc.commT))
 		}
 	}
 }

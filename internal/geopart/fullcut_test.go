@@ -158,44 +158,3 @@ func TestRefineFreeSetEmptyBoundaryWorld(t *testing.T) {
 		}
 	})
 }
-
-// TestRCBModelVersions: the Zoltan-faithful cost model (v2) must leave
-// the partition itself bit-identical to v1 — it only adds charges —
-// and must charge strictly more modeled time at P>1, which is what
-// restores the Figure 4 crossover.
-func TestRCBModelVersions(t *testing.T) {
-	g := gen.Grid2D(64, 64)
-	run := func(version, p int) ([]int32, float64, *ParallelResult) {
-		defer SetRCBModel(SetRCBModel(version))
-		views := embed.SplitCoords(g.G, g.Coords, p)
-		part := make([]int32, g.G.NumVertices())
-		var clock float64
-		var r0 *ParallelResult
-		mpi.Run(p, mpi.DefaultModel(), func(c *mpi.Comm) {
-			res := ParallelRCB(c, g.G, views[c.Rank()])
-			for i, id := range res.OwnedIDs {
-				part[id] = res.Side[i]
-			}
-			if c.Rank() == 0 {
-				clock, r0 = c.Elapsed(), res
-			}
-		})
-		return part, clock, r0
-	}
-	for _, p := range []int{1, 4, 16} {
-		p1, c1, r1 := run(1, p)
-		p2, c2, r2 := run(2, p)
-		if r1.Cut != r2.Cut || r1.SideW != r2.SideW {
-			t.Fatalf("P=%d: cost model changed the partition: v1 %+v v2 %+v", p, r1, r2)
-		}
-		for v := range p1 {
-			if p1[v] != p2[v] {
-				t.Fatalf("P=%d: vertex %d side differs across cost models", p, v)
-			}
-		}
-		if c2 <= c1 {
-			t.Fatalf("P=%d: v2 modeled time %v not above v1 %v", p, c2, c1)
-		}
-		t.Logf("P=%d: RCB modeled time %v (v1) -> %v (v2)", p, c1, c2)
-	}
-}

@@ -12,8 +12,10 @@ import (
 // parallel from a distributed embedding (or distributed natural
 // coordinates): the median plane orthogonal to the wider global extent,
 // with the median estimated from a gathered sample as Zoltan does. Its
-// communication is three short collectives, which is why RCB is the
-// scalability yardstick of the paper.
+// data movement is three short collectives; its modeled clock also
+// charges the median search and coordinate migration a real Zoltan RCB
+// pays (chargeZoltanRCB), the RCB Figure 4 of the paper compares
+// against.
 //
 // The cut count runs over the edge topology cache: the topology is
 // resolved once, every owned and ghost slot is sided, and the cut is
@@ -104,9 +106,7 @@ func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelRes
 	}
 	ec.release()
 	c.Charge(float64(nOwn) * 3)
-	if rcbModelVersion.Load() >= 2 {
-		chargeZoltanRCB(c, g.NumVertices(), nOwn)
-	}
+	chargeZoltanRCB(c, g.NumVertices(), nOwn)
 	global := mpi.AllReduceSlice(c, []int64{cut, w0, w1}, 8, mpi.SumInt64)
 	res := &ParallelResult{
 		OwnedIDs:  d.OwnedIDs,
@@ -125,18 +125,17 @@ func ParallelRCB(c *mpi.Comm, g *graph.Graph, d *embed.Distributed) *ParallelRes
 	return res
 }
 
-// chargeZoltanRCB charges the cost a real Zoltan RCB run pays that the
-// version-1 model omitted: at every recursion level (log2 P levels for
-// a P-way decomposition) the median is located by bisection — each
+// chargeZoltanRCB charges the cost a real Zoltan RCB run pays beyond
+// the single sample-median cut: at every recursion level (log2 P levels
+// for a P-way decomposition) the median is located by bisection — each
 // iteration rescans the local coordinates and closes with a short
 // 3-double reduction over the process group active at that level — and
 // once the median is fixed, every local vertex's coordinate record
-// migrates to its new owner half. The version-1 model charged one scan
-// and one reduction total, which is why modeled RCB undercut SP-PG at
-// every P (the vanished Figure 4 crossover); real RCB pays
-// O(log P · iters) collective latencies plus O(n/P) migration per
-// level, and at high P the latency term dominates exactly as the paper
-// observes.
+// migrates to its new owner half. Charging only one scan and one
+// reduction would let modeled RCB undercut SP-PG at every P and erase
+// the Figure 4 crossover; real RCB pays O(log P · iters) collective
+// latencies plus O(n/P) migration per level, and at high P the latency
+// term dominates exactly as the paper observes.
 func chargeZoltanRCB(c *mpi.Comm, n, nOwn int) {
 	p := c.Size()
 	levels := log2ceil(p)

@@ -11,13 +11,12 @@ import (
 // standard cost formula for the operation.
 //
 // The reduction-shaped collectives (AllReduce, Reduce) additionally
-// have an allocation-free fast path on the fan-in engine: the hot
-// payload types of the pipeline — float64, int64, int, geometry.Vec2,
-// [3]float64 — are encoded into an inline [4]uint64 slot word instead
-// of boxing through `any`, and the user's operator is applied to the
-// decoded values in exactly the same rank-index order, so the result is
-// bit-identical to the boxed path (TestCollectiveFaninMatchesLegacy
-// pins this). Worlds with a fault plan always box, because injected
+// have an allocation-free fast path: the hot payload types of the
+// pipeline — float64, int64, int, geometry.Vec2, [3]float64 — are
+// encoded into an inline [4]uint64 slot word instead of boxing through
+// `any`, and the user's operator is applied to the decoded values in
+// exactly the same rank-index order, so the result is bit-identical to
+// the boxed path (TestCollectiveWordPathMatchesBoxed pins this). Worlds with a fault plan always box, because injected
 // payload truncation is defined on boxed contributions.
 
 // reduceWords runs a reduction through the word path when the payload

@@ -33,12 +33,12 @@ type collProbe struct {
 // collBody exercises the full collective surface with order-sensitive
 // payloads (float sums pick up different rounding under any other
 // combine order, string concat under any other rank order).
-func collBody(p int) []collProbe {
+func collBody(p int, model Model) []collProbe {
 	probes := make([]collProbe, p)
-	stats := Run(p, DefaultModel(), func(c *Comm) {
+	stats := Run(p, model, func(c *Comm) {
 		r := c.Rank()
 		pr := &probes[r]
-		pr.sum = AllReduce(c, 0.1*float64(r)+1e-12*float64(r*r), 8, SumFloat64)
+		pr.sum = AllReduce(c, collSumTerm(r), 8, SumFloat64)
 		pr.mx = AllReduce(c, math.Sin(float64(r)), 8, MaxFloat64)
 		pr.vec = AllReduce(c, geometry.Vec2{X: 0.3 * float64(r), Y: -0.7 / float64(r+1)}, 16,
 			func(a, b geometry.Vec2) geometry.Vec2 { return geometry.Vec2{X: a.X + b.X, Y: a.Y + b.Y} })
@@ -73,39 +73,52 @@ func collBody(p int) []collProbe {
 	return probes
 }
 
-// TestCollectiveFaninMatchesLegacy is the engine bit-identity contract:
-// the fan-in engine (including its word fast path) must reproduce the
-// legacy gather-all rendezvous exactly — results compared through
+// collSumTerm is rank r's contribution to collBody's float sum.
+func collSumTerm(r int) float64 { return 0.1*float64(r) + 1e-12*float64(r*r) }
+
+// TestCollectiveWordPathMatchesBoxed is the collective bit-identity
+// contract: the allocation-free word path (taken by default) must
+// reproduce the boxed fan-in path exactly — results compared through
 // Float64bits, clocks and traffic through RankStats — at every
-// communicator size the suite sweeps, up to P = 1024.
-func TestCollectiveFaninMatchesLegacy(t *testing.T) {
+// communicator size the suite sweeps, up to P = 1024. A non-nil empty
+// fault plan forces the boxed path (wordsEligible reads only plan
+// presence) and fires nothing. The sum is also checked against a
+// serial rank-order left fold, an oracle independent of the engine.
+func TestCollectiveWordPathMatchesBoxed(t *testing.T) {
 	for _, p := range []int{1, 4, 64, 256, 1024} {
 		if p > 64 && testing.Short() {
 			continue
 		}
 		t.Run(fmt.Sprintf("P%d", p), func(t *testing.T) {
-			defer SetCollectiveEngine(SetCollectiveEngine(CollectivesLegacy))
-			want := collBody(p)
-			SetCollectiveEngine(CollectivesFanin)
-			got := collBody(p)
+			boxedModel := DefaultModel()
+			boxedModel.Faults = NewFaultPlan()
+			want := collBody(p, boxedModel)
+			got := collBody(p, DefaultModel())
+			fold := collSumTerm(0)
+			for r := 1; r < p; r++ {
+				fold += collSumTerm(r)
+			}
 			for r := range want {
 				w, g := want[r], got[r]
+				if math.Float64bits(g.sum) != math.Float64bits(fold) {
+					t.Fatalf("rank %d sum %v differs from the serial rank-order fold %v", r, g.sum, fold)
+				}
 				if math.Float64bits(w.sum) != math.Float64bits(g.sum) ||
 					math.Float64bits(w.mx) != math.Float64bits(g.mx) ||
 					math.Float64bits(w.sub) != math.Float64bits(g.sub) {
-					t.Fatalf("rank %d float reductions differ: legacy (%v,%v,%v) fanin (%v,%v,%v)",
+					t.Fatalf("rank %d float reductions differ: boxed (%v,%v,%v) word (%v,%v,%v)",
 						r, w.sum, w.mx, w.sub, g.sum, g.mx, g.sub)
 				}
 				if w.vec != g.vec || w.arr != g.arr || w.i64 != g.i64 || w.i != g.i ||
 					w.str != g.str || w.bcast != g.bcast {
-					t.Fatalf("rank %d reductions differ:\n legacy %+v\n fanin  %+v", r, w, g)
+					t.Fatalf("rank %d reductions differ:\n boxed %+v\n word  %+v", r, w, g)
 				}
 				if !reflect.DeepEqual(w.gath, g.gath) || !reflect.DeepEqual(w.gathV, g.gathV) ||
 					!reflect.DeepEqual(w.a2a, g.a2a) {
-					t.Fatalf("rank %d gathers differ:\n legacy %+v\n fanin  %+v", r, w, g)
+					t.Fatalf("rank %d gathers differ:\n boxed %+v\n word  %+v", r, w, g)
 				}
 				if w.stats != g.stats {
-					t.Fatalf("rank %d stats differ:\n legacy %+v\n fanin  %+v", r, w.stats, g.stats)
+					t.Fatalf("rank %d stats differ:\n boxed %+v\n word  %+v", r, w.stats, g.stats)
 				}
 			}
 		})
@@ -153,12 +166,11 @@ func TestDeepPendingSamePeerOrder(t *testing.T) {
 
 // TestCollectiveSteadyStateAllocs pins the fan-in engine's headline
 // property: after warm-up, collectives allocate nothing — on any rank,
-// not just the caller's. The legacy engine boxes one contribution per
-// rank per collective (P allocations per op), so the threshold below
-// fails it by two orders of magnitude.
+// not just the caller's. A rendezvous that boxes one contribution per
+// rank per collective (P allocations per op) fails the threshold below
+// by two orders of magnitude.
 func TestCollectiveSteadyStateAllocs(t *testing.T) {
 	const p, ops = 64, 400
-	defer SetCollectiveEngine(SetCollectiveEngine(CollectivesFanin))
 	var m0, m1 runtime.MemStats
 	Run(p, DefaultModel(), func(c *Comm) {
 		acc := float64(c.Rank())
@@ -183,30 +195,9 @@ func TestCollectiveSteadyStateAllocs(t *testing.T) {
 		c.Barrier()
 	})
 	allocs := m1.Mallocs - m0.Mallocs
-	// 2·ops collectives over 64 ranks would be ≥ 51200 boxed allocations
-	// on the legacy engine; the fan-in engine's budget is runtime noise.
+	// 2·ops collectives over 64 ranks would be ≥ 51200 boxed
+	// allocations; the fan-in engine's budget is runtime noise.
 	if allocs > 200 {
 		t.Fatalf("steady-state collectives allocated %d times over %d ops (want ~0)", allocs, 2*ops)
-	}
-}
-
-// TestParseCollectiveEngine pins the -collectives flag surface.
-func TestParseCollectiveEngine(t *testing.T) {
-	for _, tc := range []struct {
-		in   string
-		want CollectiveEngine
-	}{
-		{"", CollectivesFanin}, {"fanin", CollectivesFanin}, {"legacy", CollectivesLegacy},
-	} {
-		got, err := ParseCollectiveEngine(tc.in)
-		if err != nil || got != tc.want {
-			t.Errorf("ParseCollectiveEngine(%q) = (%v, %v), want %v", tc.in, got, err, tc.want)
-		}
-	}
-	if _, err := ParseCollectiveEngine("bogus"); err == nil {
-		t.Error("ParseCollectiveEngine(bogus) did not fail")
-	}
-	if CollectivesFanin.String() != "fanin" || CollectivesLegacy.String() != "legacy" {
-		t.Error("engine String() names drifted from the flag surface")
 	}
 }

@@ -7,14 +7,15 @@ import (
 	"repro/internal/hostpar"
 )
 
-// The fan-in collective engine (CollectivesFanin).
+// The fan-in collective engine: the one rendezvous behind every
+// collective (Barrier, Bcast, AllReduce*, AllGather*, SyncCost*, the
+// AllToAllV count exchange).
 //
-// The legacy rendezvous serializes every rank through one mutex and a
-// sync.Cond broadcast, and each AllReduce boxes its contribution
-// through `any` — O(P) lock handoffs and O(P) allocations per
-// collective, which at P = 1024 made the rendezvous itself the gate on
-// the scale-8 sweep. The fan-in engine replaces it with
-// generation-stamped arrival slots:
+// A rendezvous that serializes every rank through one mutex and a
+// sync.Cond broadcast, boxing each contribution through `any`, pays
+// O(P) lock handoffs and O(P) allocations per collective, which at
+// P = 1024 makes the rendezvous itself the gate on the scale-8 sweep.
+// The fan-in engine uses generation-stamped arrival slots instead:
 //
 //   - Each rank owns slots[rank] and writes its contribution (clock,
 //     declared cost, and either an inline [4]uint64 word payload or a
@@ -24,9 +25,9 @@ import (
 //   - The last arriver is the finisher: it scans the slots for the
 //     clock/cost maxima (hostpar-chunked at large P — exact, since
 //     float max is associative), folds the contributions in rank-index
-//     order (never chunked: bit-identity requires the legacy fold
-//     order), publishes the result, bumps the generation counter, and
-//     broadcasts the rendezvous cond once.
+//     order (never chunked: the fold order is part of the result, and
+//     the word and boxed paths must agree), publishes the result, bumps
+//     the generation counter, and broadcasts the rendezvous cond once.
 //   - Waiters park on the cond and re-check the generation; the
 //     rendezvous mutex guards only the park/wake handshake — never the
 //     contribution slots, the combine, or any allocation. An abort
@@ -39,9 +40,10 @@ import (
 // every rank — including the slowest reader of the previous result —
 // to arrive again first, so no reader can observe a torn result.
 //
-// Bit-identity with the legacy engine (virtual clocks, combine order,
-// fault positions, trace events) is pinned by
-// TestCollectiveFaninMatchesLegacy up to P = 1024.
+// TestCollectiveWordPathMatchesBoxed pins the word path against the
+// boxed path and the sum against a serial rank-order fold, up to
+// P = 1024; the BENCH row guards pin the clocks it charges against
+// BENCH_4–6, recorded on the mutex/cond rendezvous it replaced.
 
 // collSlot is one rank's contribution to the current generation. The
 // owning rank writes it before its arrival add; only the finisher reads
@@ -214,7 +216,6 @@ func (coll *faninColl) scanMax() (mx, mc float64) {
 
 // faninBoxed is the general fan-in path: contributions box through
 // `any` and combine runs once, in rank-index order, on the finisher.
-// Identical semantics to the legacy rendezvous, minus the mutex/cond.
 func (c *Comm) faninBoxed(op *string, val any, combine func(vals []any) any, cost collCost, t0 float64) any {
 	coll := c.world.faninFor(c.size)
 	st := c.state
@@ -291,3 +292,8 @@ func (c *Comm) faninWords(op *string, w [4]uint64, fold func(acc, v [4]uint64) [
 	c.collCharge(op, myGen, cost, t0, done)
 	return res
 }
+
+// Collectives names the collective engine, which is always the fan-in
+// rendezvous. It remains only because the standing benchmark prints it
+// on its globals line.
+func Collectives() string { return "fanin" }

@@ -14,8 +14,8 @@ import (
 // upper range and hostpar workers over the chunked fan-in's pool sizes;
 // the scaling acceptance bar is sub-quadratic cost in P (P=1024 at most
 // ~8x the P=256 per-op cost, against ~16x for a quadratic engine) with
-// zero steady-state allocations on the fan-in engine
-// (TestCollectiveSteadyStateAllocs pins the latter exactly).
+// zero steady-state allocations (TestCollectiveSteadyStateAllocs pins
+// the latter exactly).
 //
 // The per-op figure is the wall cost of one world-wide collective: all
 // P ranks contribute, one rank combines in rank-index order, and every
@@ -40,32 +40,18 @@ func benchWorldLoop(b *testing.B, p int, loop func(c *Comm, n int)) {
 	})
 }
 
-// benchEngines runs the benchmark body under every collective engine
-// present, so the fan-in win over the legacy gather-all path stays
-// visible in `go test -bench` output.
-func benchEngines(b *testing.B, run func(b *testing.B)) {
-	for _, eng := range []CollectiveEngine{CollectivesFanin, CollectivesLegacy} {
-		b.Run(eng.String(), func(b *testing.B) {
-			defer SetCollectiveEngine(SetCollectiveEngine(eng))
-			run(b)
-		})
-	}
-}
-
 // BenchmarkAllReduceHighP measures one float64 AllReduce per op across
 // the full communicator.
 func BenchmarkAllReduceHighP(b *testing.B) {
 	for _, p := range []int{64, 256, 1024} {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("P%d/workers%d", p, workers), func(b *testing.B) {
-				benchEngines(b, func(b *testing.B) {
-					defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
-					benchWorldLoop(b, p, func(c *Comm, n int) {
-						acc := float64(c.Rank())
-						for i := 0; i < n; i++ {
-							acc = AllReduce(c, acc*0.5, 8, SumFloat64)
-						}
-					})
+				defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
+				benchWorldLoop(b, p, func(c *Comm, n int) {
+					acc := float64(c.Rank())
+					for i := 0; i < n; i++ {
+						acc = AllReduce(c, acc*0.5, 8, SumFloat64)
+					}
 				})
 			})
 		}
@@ -77,13 +63,11 @@ func BenchmarkBarrierHighP(b *testing.B) {
 	for _, p := range []int{64, 256, 1024} {
 		for _, workers := range []int{1, 4} {
 			b.Run(fmt.Sprintf("P%d/workers%d", p, workers), func(b *testing.B) {
-				benchEngines(b, func(b *testing.B) {
-					defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
-					benchWorldLoop(b, p, func(c *Comm, n int) {
-						for i := 0; i < n; i++ {
-							c.Barrier()
-						}
-					})
+				defer hostpar.SetWorkers(hostpar.SetWorkers(workers))
+				benchWorldLoop(b, p, func(c *Comm, n int) {
+					for i := 0; i < n; i++ {
+						c.Barrier()
+					}
 				})
 			})
 		}

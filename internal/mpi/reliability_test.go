@@ -228,7 +228,10 @@ func TestReliableHealsTruncatedCollective(t *testing.T) {
 	model.Faults = NewFaultPlan().Truncate(0, 0)
 	var sum int64
 	stats, err := RunChecked(2, model, func(c *Comm) {
-		sum = AllReduceSlice(c, []int64{int64(c.Rank() + 1)}, 8, add)[0]
+		s := AllReduceSlice(c, []int64{int64(c.Rank() + 1)}, 8, add)[0]
+		if c.Rank() == 0 {
+			sum = s
+		}
 	})
 	if err != nil {
 		t.Fatalf("collective truncate heal failed: %v", err)
